@@ -9,9 +9,9 @@
 //!    reintroduces per-token `String` churn on the steady path fails
 //!    here before it shows up as a timing drift.
 //! 2. The tracked pipeline run (`bench::pipelinebench`): baseline vs
-//!    batch vs streaming-cold vs persistent-cache-warm kernels/sec at 1
-//!    and 8 threads, written to `BENCH_pipeline.json` at the repository
-//!    root with its byte-identity and speedup gates asserted.
+//!    batch vs persistent-cache-cold vs persistent-cache-warm kernels/sec
+//!    at 1 and 8 threads, written to `BENCH_pipeline.json` at the
+//!    repository root with its byte-identity and speedup gates asserted.
 //!
 //! `BENCH_PIPELINE_LIMIT=<n>` caps the volume corpus at n blocks — CI
 //! uses this for a quick smoke run; local `cargo bench --bench
@@ -166,7 +166,7 @@ fn main() {
     eprintln!("[pipeline_core] wrote {path}");
     assert!(
         report.byte_identical,
-        "pipeline paths diverged — streaming/caching may not change report bytes"
+        "pipeline paths diverged — caching may not change report bytes"
     );
     // The acceptance gates only bind on the full corpus: tiny smoke
     // corpora (CI) are noise-dominated, so gate on ≥ one grid pass.

@@ -9,14 +9,13 @@
 //!    bit-identical to. This is the honest "before" number: same
 //!    reports, pre-PR cost.
 //! 2. **batch** — the current fast batch path ([`engine::Session::run`]).
-//! 3. **cold** — the streaming path ([`engine::Session::run_streamed`])
-//!    against a fresh persistent cache directory (computes everything,
-//!    writes every record).
-//! 4. **warm** — the same streaming run again: every record replays
-//!    from the content-addressed disk cache.
+//! 3. **cold** — the same session against a fresh persistent cache
+//!    directory (computes everything, writes every record).
+//! 4. **warm** — the same run again: every record replays from the
+//!    content-addressed disk cache.
 //!
 //! Every pair of paths must produce byte-identical `BatchReport` JSON
-//! once the observational `timings` block is zeroed — the
+//! once the observational `timings` and `obs` blocks are dropped — the
 //! `byte_identical` flag in the report is the conjunction over all
 //! measured thread counts. The `pipeline_core` bench target runs this
 //! and writes `BENCH_pipeline.json` at the repository root, so pipeline
@@ -37,10 +36,10 @@ pub struct ThreadRow {
     /// Current fast batch path.
     pub batch_ms: f64,
     pub batch_kernels_per_sec: f64,
-    /// Streaming path, fresh cache dir (compute + persist).
+    /// Batch path, fresh cache dir (compute + persist).
     pub cold_ms: f64,
     pub cold_kernels_per_sec: f64,
-    /// Streaming path, warm cache dir (disk replay).
+    /// Batch path, warm cache dir (disk replay).
     pub warm_ms: f64,
     pub warm_kernels_per_sec: f64,
     /// cold vs baseline (the acceptance gate asks ≥ 2×).
@@ -50,8 +49,8 @@ pub struct ThreadRow {
     /// Disk cache counters of the warm run (hits must cover the corpus).
     pub warm_disk_hits: u64,
     pub warm_disk_misses: u64,
-    /// stream-vs-batch and warm-vs-cold reports byte-identical (timings
-    /// zeroed) at this thread count.
+    /// baseline, batch, cold, and warm reports byte-identical (timings
+    /// and obs dropped) at this thread count.
     pub byte_identical: bool,
 }
 
@@ -99,14 +98,14 @@ fn baseline_session(threads: usize, blocks: usize) -> Session {
     ])
 }
 
-/// Report JSON with the observational blocks zeroed — the byte-identity
-/// currency of the equivalence checks. `timings` is wall clock;
-/// `cache` legitimately differs between paths (the streaming path does
-/// not memoize kernel parses). Every analytical field stays.
+/// Report JSON with the observational blocks dropped — the byte-identity
+/// currency of the equivalence checks. `timings` is wall clock and `obs`
+/// (present on the profiled warm run) carries wall-clock totals too.
+/// Every analytical field and the cache counters stay.
 fn normalized(report: &BatchReport) -> String {
     let mut r = report.clone();
     r.timings = Default::default();
-    r.cache = Default::default();
+    r.obs = None;
     r.to_json()
 }
 
@@ -130,11 +129,6 @@ fn run_threads(threads: usize, blocks: usize) -> ThreadRow {
             .expect("baseline runs")
     });
     let (batch, batch_ms) = timed(|| session(threads, blocks).run().expect("batch runs"));
-    let (stream, _) = timed(|| {
-        session(threads, blocks)
-            .run_streamed(0)
-            .expect("stream runs")
-    });
     let dir = std::env::temp_dir().join(format!(
         "incore-pipeline-bench-{}-t{threads}",
         std::process::id()
@@ -143,31 +137,24 @@ fn run_threads(threads: usize, blocks: usize) -> ThreadRow {
     let (cold, cold_ms) = timed(|| {
         session(threads, blocks)
             .cache_dir(&dir)
-            .run_streamed(0)
+            .run()
             .expect("cold runs")
     });
-    // The warm run goes through `stream` directly so the outcome's disk
-    // counters are visible (a `BatchReport` only carries them under
-    // `--profile`, which would break byte-comparability).
-    let warm_session = session(threads, blocks).cache_dir(&dir);
-    let mut warm_records = Vec::new();
-    let start = Instant::now();
-    let outcome = warm_session
-        .stream(0, |r| warm_records.push(r))
-        .expect("warm runs");
-    let warm_ms = start.elapsed().as_secs_f64() * 1e3;
-    let warm = BatchReport::from_records(
-        outcome.archs.clone(),
-        outcome.predictors.clone(),
-        outcome.reference.clone(),
-        warm_records,
-        outcome.cache,
-    );
-    let warm_disk = outcome.disk.expect("warm run had a cache dir");
+    // The warm run is profiled so its report carries the disk counters
+    // in the `obs` block (which `normalized` drops).
+    let (warm, warm_ms) = timed(|| {
+        session(threads, blocks)
+            .cache_dir(&dir)
+            .profile(true)
+            .run()
+            .expect("warm runs")
+    });
+    let warm_obs = warm.obs.as_ref().expect("profiled run carries obs");
+    let warm_disk_hits = warm_obs.disk_hits.expect("warm run had a cache dir");
+    let warm_disk_misses = warm_obs.disk_misses.expect("warm run had a cache dir");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(batch.records.len(), blocks, "volume corpus size");
     let byte_identical = normalized(&baseline) == normalized(&batch)
-        && normalized(&stream) == normalized(&batch)
         && normalized(&cold) == normalized(&batch)
         && normalized(&warm) == normalized(&cold);
     let kps = |ms: f64| blocks as f64 / (ms / 1e3).max(1e-9);
@@ -183,8 +170,8 @@ fn run_threads(threads: usize, blocks: usize) -> ThreadRow {
         warm_kernels_per_sec: kps(warm_ms),
         cold_speedup_vs_baseline: baseline_ms / cold_ms.max(1e-9),
         warm_speedup_vs_cold: cold_ms / warm_ms.max(1e-9),
-        warm_disk_hits: warm_disk.hits,
-        warm_disk_misses: warm_disk.misses,
+        warm_disk_hits,
+        warm_disk_misses,
         byte_identical,
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! incore-cli analyze <file.s> --arch <gcs|spr|genoa> [--balanced] [--mca] [--sim] [--timeline] [--trace] [--json]
-//! incore-cli validate [--arch <machine>]... [--threads N] [--limit N] [--json] [--threshold X] [--max-divergent N] [--stream] [--cache-dir D] [--volume N]
+//! incore-cli validate [--arch <machine>]... [--threads N] [--limit N] [--json] [--threshold X] [--max-divergent N] [--cache-dir D] [--volume N]
 //! incore-cli explain <kernel> --arch <gcs|spr|genoa>
 //! incore-cli lint [file.s] [--arch <gcs|spr|genoa>] [--machine-file <m.json>] [--json] [--strict] [--sim]
 //! incore-cli machines
@@ -29,14 +29,13 @@ pub mod proto;
 pub mod serve;
 pub mod top;
 
-/// Simulator configuration overrides shared by `analyze` and `validate`
-/// (`--iterations`, `--warmup`, `--no-early-exit`). `None`/`false` means
-/// "keep the [`exec::SimConfig`] default".
+/// Simulator configuration overrides shared by `analyze`, `validate`, and
+/// `explain` (`--iterations`, `--warmup`). `None` means "keep the
+/// [`exec::SimConfig`] default".
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimOverrides {
     pub iterations: Option<usize>,
     pub warmup: Option<usize>,
-    pub no_early_exit: bool,
 }
 
 impl SimOverrides {
@@ -47,9 +46,6 @@ impl SimOverrides {
         }
         if let Some(warmup) = self.warmup {
             cfg.warmup = warmup;
-        }
-        if self.no_early_exit {
-            cfg.early_exit = false;
         }
         cfg
     }
@@ -119,9 +115,6 @@ pub struct ValidateOpts {
     /// Record and emit an `obs` profile of the run (`--profile[=mode]`);
     /// also attaches the per-predictor `obs` summary to the JSON report.
     pub profile: Option<ProfileMode>,
-    /// Evaluate through the bounded-memory streaming pipeline
-    /// (`Session::run_streamed`) instead of the batch collector.
-    pub stream: bool,
     /// Persist evaluated records under this directory and replay them on
     /// identical reruns (`--cache-dir`).
     pub cache_dir: Option<String>,
@@ -298,9 +291,6 @@ pub enum Command {
         json: bool,
         /// Rayon pool size for the sweep; `None` = the default pool.
         threads: Option<usize>,
-        /// Use the per-access reference pipeline instead of the streaming
-        /// fast path (results are bit-identical; this exists to check that).
-        reference: bool,
         /// Record and emit an `obs` profile of the sweep.
         profile: Option<ProfileMode>,
     },
@@ -390,7 +380,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
         }
         "storebench" => {
             let mut sel = MachineSel::default();
-            let (mut nt, mut json, mut reference) = (false, false, false);
+            let (mut nt, mut json) = (false, false);
             let mut threads = None;
             let mut profile = None;
             while let Some(a) = it.next() {
@@ -401,7 +391,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
                     "--nt" => nt = true,
                     "--json" => json = true,
                     "--threads" => threads = Some(next_value(&mut it, "--threads")?),
-                    "--reference" => reference = true,
                     f if is_profile_flag(f) => profile = Some(parse_profile_mode(f)?),
                     other => return Err(Error::usage(format!("unknown flag `{other}`"))),
                 }
@@ -411,7 +400,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
                 nt,
                 json,
                 threads,
-                reference,
                 profile,
             })
         }
@@ -475,7 +463,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
                 match a.as_str() {
                     "--iterations" => sim.iterations = Some(next_value(&mut it, "--iterations")?),
                     "--warmup" => sim.warmup = Some(next_value(&mut it, "--warmup")?),
-                    "--no-early-exit" => sim.no_early_exit = true,
                     flag if flag.starts_with("--") => {
                         return Err(Error::usage(format!("unknown flag `{flag}`")))
                     }
@@ -507,8 +494,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
                         opts.sim.iterations = Some(next_value(&mut it, "--iterations")?)
                     }
                     "--warmup" => opts.sim.warmup = Some(next_value(&mut it, "--warmup")?),
-                    "--no-early-exit" => opts.sim.no_early_exit = true,
-                    "--stream" => opts.stream = true,
                     "--cache-dir" => opts.cache_dir = Some(next_value(&mut it, "--cache-dir")?),
                     "--volume" => opts.volume = Some(next_value(&mut it, "--volume")?),
                     f if is_profile_flag(f) => opts.profile = Some(parse_profile_mode(f)?),
@@ -574,7 +559,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
                         flags.sim_cfg.iterations = Some(next_value(&mut it, "--iterations")?)
                     }
                     "--warmup" => flags.sim_cfg.warmup = Some(next_value(&mut it, "--warmup")?),
-                    "--no-early-exit" => flags.sim_cfg.no_early_exit = true,
                     f if is_profile_flag(f) => flags.profile = Some(parse_profile_mode(f)?),
                     flag if flag.starts_with("--") => {
                         return Err(Error::usage(format!("unknown flag `{flag}`")))
@@ -680,7 +664,6 @@ USAGE:
       --json       emit a one-record JSON report (same schema as validate)
       --iterations <n>     simulator measured iterations (default 200)
       --warmup <n>         simulator warm-up iterations (default 50)
-      --no-early-exit      simulate every iteration (no steady-state extrapolation)
       --profile[=mode]     obs profile on stderr (text|json) or trace.chrome.json (chrome)
   incore-cli validate [flags]         validate the predictors over the kernel corpus
       --arch/--model/--machine-file   restrict the grid (repeatable; default: the
@@ -690,16 +673,15 @@ USAGE:
       --json               emit the JSON BatchReport instead of the text summary
       --threshold <x>      exit 1 if the in-core model's mean |RPE| exceeds x
       --max-divergent <n>  exit 1 if more than n records fire D002
-      --iterations / --warmup / --no-early-exit   as for analyze (reference simulator)
+      --iterations / --warmup   as for analyze (reference simulator)
       --profile[=mode]     obs profile (also adds the per-predictor obs block to --json)
-      --stream             bounded-memory streaming pipeline (same report, flat RSS)
       --cache-dir <dir>    persist evaluated records; identical reruns replay from disk
       --volume <n>         generated volume corpus of n blocks per machine (the first
                            grid-sized prefix reproduces the standard corpus)
   incore-cli explain <kernel> --arch <machine>   bottleneck-attribution report for a
       corpus kernel: the binding port/dependency/front-end bound per predictor and
       why the predictors disagree (divergence rules D001/D002, attribution rule D003)
-      --iterations / --warmup / --no-early-exit   as for analyze (reference simulator)
+      --iterations / --warmup   as for analyze (reference simulator)
   incore-cli lint [file.s] [flags]    run the static diagnostics (rule codes K*, M*, D*, S*)
       --arch/--model       machine for kernel lints / machines to lint (repeatable)
       --machine-file <file.json>  lint an edited machine file (also used for kernel lints)
@@ -751,31 +733,18 @@ USAGE:
       --nt                 non-temporal stores instead of standard write-allocate
       --json               emit the versioned JSON StoreSweepReport
       --threads <n>        rayon pool size; output is identical at every count
-      --reference          per-access reference pipeline (bit-identical, slower)
       --profile[=mode]     obs profile of the sweep (text|json|chrome)
 ";
 
 /// Render `incore-cli storebench`: the Fig. 4 store-only sweep over one
 /// or more machines, as the original text table or the versioned JSON
-/// [`memhier::storebench::StoreSweepReport`]. With `reference` the sweep
-/// runs the per-access oracle pipeline instead of the streaming fast
-/// path — output is bit-identical either way.
-pub fn run_storebench(
-    machines: &[uarch::Machine],
-    nt: bool,
-    json: bool,
-    reference: bool,
-) -> String {
+/// [`memhier::storebench::StoreSweepReport`].
+pub fn run_storebench(machines: &[uarch::Machine], nt: bool, json: bool) -> String {
     use std::fmt::Write;
     let kind = if nt {
         memhier::StoreKind::NonTemporal
     } else {
         memhier::StoreKind::Standard
-    };
-    let scfg = if reference {
-        memhier::StreamConfig::reference()
-    } else {
-        memhier::StreamConfig::default()
     };
     let counts: Vec<Vec<u32>> = machines
         .iter()
@@ -785,7 +754,12 @@ pub fn run_storebench(
                 .collect()
         })
         .collect();
-    let report = memhier::storebench::sweep_report(machines, &counts, kind, scfg);
+    let report = memhier::storebench::sweep_report(
+        machines,
+        &counts,
+        kind,
+        memhier::StreamConfig::default(),
+    );
     if json {
         return report.to_json();
     }
@@ -1060,11 +1034,7 @@ pub fn run_validate(opts: &ValidateOpts) -> Result<ValidateOutcome, Error> {
     if let Some(dir) = &opts.cache_dir {
         session = session.cache_dir(dir);
     }
-    let report = if opts.stream {
-        session.run_streamed(0)?
-    } else {
-        session.run()?
-    };
+    let report = session.run()?;
     let mut gate_failures = Vec::new();
     if let Some(limit) = opts.threshold {
         let mean = report.summary("incore").map(|s| s.mean_abs).unwrap_or(0.0);
@@ -1684,7 +1654,6 @@ mod tests {
             "64",
             "--warmup",
             "8",
-            "--no-early-exit",
         ]))
         .unwrap();
         match c {
@@ -1694,14 +1663,15 @@ mod tests {
                     SimOverrides {
                         iterations: Some(64),
                         warmup: Some(8),
-                        no_early_exit: true,
                     }
                 );
                 let cfg = flags.sim_cfg.config();
                 assert_eq!(cfg.iterations, 64);
                 assert_eq!(cfg.warmup, 8);
-                assert!(!cfg.early_exit);
-                assert!(cfg.quirks, "overrides must not disturb other defaults");
+                assert!(
+                    cfg.early_exit && cfg.quirks,
+                    "overrides must not disturb other defaults"
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -1730,6 +1700,19 @@ mod tests {
         assert_eq!(e.kind(), ErrorKind::Usage);
         assert_eq!(e.exit_code(), 2);
         assert!(e.to_string().contains("--wat"));
+        // Switches that only selected a bit-identical duplicate or oracle
+        // path are not options: the oracles are test scaffolding.
+        for args in [
+            &["validate", "--stream"][..],
+            &["storebench", "--reference"],
+            &["validate", "--no-early-exit"],
+            &["analyze", "k.s", "--arch", "spr", "--no-early-exit"],
+            &["explain", "triad", "--arch", "spr", "--no-early-exit"],
+        ] {
+            let e = parse_args(&sv(args)).unwrap_err();
+            assert_eq!(e.kind(), ErrorKind::Usage, "{args:?}");
+            assert!(e.to_string().contains("unknown flag"), "{args:?}: {e}");
+        }
     }
 
     #[test]
@@ -1751,7 +1734,6 @@ mod tests {
                 nt: true,
                 json: false,
                 threads: None,
-                reference: false,
                 profile: None,
             }
         );
@@ -1765,7 +1747,6 @@ mod tests {
                 "--json",
                 "--threads",
                 "2",
-                "--reference",
             ]))
             .unwrap(),
             Command::StoreBench {
@@ -1778,7 +1759,6 @@ mod tests {
                 nt: false,
                 json: true,
                 threads: Some(2),
-                reference: true,
                 profile: None,
             }
         );
@@ -1833,7 +1813,6 @@ mod tests {
         assert_eq!(
             parse_args(&sv(&[
                 "validate",
-                "--stream",
                 "--cache-dir",
                 "/tmp/incore-cache",
                 "--volume",
@@ -1841,7 +1820,6 @@ mod tests {
             ]))
             .unwrap(),
             Command::Validate(ValidateOpts {
-                stream: true,
                 cache_dir: Some("/tmp/incore-cache".into()),
                 volume: Some(2000),
                 ..ValidateOpts::default()
@@ -1850,20 +1828,11 @@ mod tests {
         assert!(parse_args(&sv(&["validate", "--volume", "many"])).is_err());
         assert!(parse_args(&sv(&["validate", "--cache-dir"])).is_err());
         assert_eq!(
-            parse_args(&sv(&[
-                "validate",
-                "--iterations",
-                "100",
-                "--warmup",
-                "20",
-                "--no-early-exit",
-            ]))
-            .unwrap(),
+            parse_args(&sv(&["validate", "--iterations", "100", "--warmup", "20",])).unwrap(),
             Command::Validate(ValidateOpts {
                 sim: SimOverrides {
                     iterations: Some(100),
                     warmup: Some(20),
-                    no_early_exit: true,
                 },
                 ..ValidateOpts::default()
             })
@@ -1890,25 +1859,6 @@ mod tests {
         assert!(out.contains("LLVM-MCA-style baseline:"));
         assert!(out.contains("MCA timeline"));
         assert!(out.contains("pipeline trace"));
-        // Simulator overrides flow through to the simulated result: a short
-        // no-early-exit run must agree with the default extrapolated run.
-        let short = AnalyzeFlags {
-            sim: true,
-            sim_cfg: SimOverrides {
-                iterations: Some(200),
-                warmup: Some(50),
-                no_early_exit: true,
-            },
-            ..AnalyzeFlags::default()
-        };
-        let out2 = run_analyze(&m, asm, short).unwrap();
-        let line = |s: &str| {
-            s.lines()
-                .find(|l| l.contains("simulator:"))
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(line(&out), line(&out2));
     }
 
     #[test]
@@ -1998,7 +1948,7 @@ mod tests {
     fn storebench_text_format_is_stable() {
         // The single-machine text table is the original `--arch` output:
         // no per-machine header, same filter, same row format.
-        let out = run_storebench(&[machine_for(uarch::Arch::GoldenCove)], false, false, false);
+        let out = run_storebench(&[machine_for(uarch::Arch::GoldenCove)], false, false);
         let mut lines = out.lines();
         assert_eq!(lines.next(), Some("cores  traffic/stored"));
         let first = lines.next().unwrap();
@@ -2007,11 +1957,8 @@ mod tests {
             !out.contains("SPR ("),
             "single machine must not get a header"
         );
-        // The reference pipeline renders byte-identical text.
-        let reference = run_storebench(&[machine_for(uarch::Arch::GoldenCove)], false, false, true);
-        assert_eq!(out, reference);
         // All machines: one headed block per machine.
-        let all = run_storebench(&uarch::all_machines(), false, false, false);
+        let all = run_storebench(&uarch::all_machines(), false, false);
         for chip in ["GCS", "SPR", "Genoa"] {
             assert!(all.contains(&format!("{chip} (")), "{all}");
         }
@@ -2019,7 +1966,7 @@ mod tests {
 
     #[test]
     fn storebench_json_is_versioned_and_thread_invariant() {
-        let out = run_storebench(&uarch::all_machines(), true, true, false);
+        let out = run_storebench(&uarch::all_machines(), true, true);
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
         let o = v.as_object().unwrap();
         assert_eq!(o.get("schema_version").unwrap().as_u64().unwrap(), 1);
@@ -2031,7 +1978,7 @@ mod tests {
             .num_threads(1)
             .build()
             .expect("pool builds")
-            .install(|| run_storebench(&uarch::all_machines(), true, true, false));
+            .install(|| run_storebench(&uarch::all_machines(), true, true));
         assert_eq!(out, one, "storebench --json must not depend on threads");
     }
 

@@ -189,7 +189,6 @@ fn run(args: &[String]) -> Result<i32, Error> {
             nt,
             json,
             threads,
-            reference,
             profile,
         } => {
             let machines = sel.resolve_or_trio()?;
@@ -199,8 +198,8 @@ fn run(args: &[String]) -> Result<i32, Error> {
                     .num_threads(n)
                     .build()
                     .expect("thread pool builds")
-                    .install(|| cli::run_storebench(&machines, nt, json, reference)),
-                None => cli::run_storebench(&machines, nt, json, reference),
+                    .install(|| cli::run_storebench(&machines, nt, json)),
+                None => cli::run_storebench(&machines, nt, json),
             };
             print!("{out}");
             emit_profile(profile)?;

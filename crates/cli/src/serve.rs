@@ -63,7 +63,9 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+use engine::diskcache::fingerprint;
 
 use obs::journal::{Journal, Severity};
 use obs::registry::{CounterId, GaugeId, HistId, Registry};
@@ -81,6 +83,9 @@ const OUTBOUND_FRAMES: usize = 8;
 
 /// Journal ring capacity (events retained for the `events` request).
 const JOURNAL_CAP: usize = 256;
+
+/// Pause after a failed `accept()` (e.g. the process is out of fds).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Options of `incore-cli serve`.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,20 +180,11 @@ fn flag_bits(f: AnalyzeFlags) -> u8 {
     (f.balanced as u8) | (f.mca as u8) << 1 | (f.sim as u8) << 2
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl Key {
     fn shard(&self, shards: usize) -> usize {
-        let mut h = fnv1a(self.asm.as_bytes());
-        h ^= fnv1a(self.label.as_bytes()).rotate_left(17);
-        h ^= fnv1a(self.machine.as_bytes()).rotate_left(31);
+        let mut h = fingerprint(self.asm.as_bytes());
+        h ^= fingerprint(self.label.as_bytes()).rotate_left(17);
+        h ^= fingerprint(self.machine.as_bytes()).rotate_left(31);
         h ^= self.flags as u64;
         (h % shards as u64) as usize
     }
@@ -480,8 +476,9 @@ struct Shared {
     disk: Option<engine::DiskCache>,
     telemetry: Telemetry,
     draining: AtomicBool,
-    /// Read halves of live connections, shut down on drain.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Read halves of live connections by connection id, shut down on
+    /// drain. Each connection thread removes its own entry on exit.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Shared {
@@ -499,7 +496,7 @@ impl Shared {
             "shutdown requested; draining in-flight work",
             Vec::new(),
         );
-        for conn in self.conns.lock().expect("conn registry poisoned").iter() {
+        for conn in self.conns.lock().expect("conn registry poisoned").values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
         // Wake the accept loop so it observes the flag.
@@ -700,7 +697,7 @@ fn machine_token(sel: &MachineSel) -> Result<(String, MachineToken), Error> {
         MachineRef::Model(id) => Ok((format!("model:{id}"), MachineToken::Model(id.clone()))),
         MachineRef::File(path) => {
             let json = std::fs::read_to_string(path).map_err(|e| Error::io(path.as_str(), &e))?;
-            let key = format!("file:{:016x}", fnv1a(json.as_bytes()));
+            let key = format!("file:{:016x}", fingerprint(json.as_bytes()));
             Ok((key, MachineToken::File(json)))
         }
     }
@@ -799,7 +796,7 @@ fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
         let stale_before = shared.disk.as_ref().map(|d| d.stats().stale).unwrap_or(0);
         let run = || {
             if shared.opts.throttle_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(shared.opts.throttle_ms));
+                std::thread::sleep(Duration::from_millis(shared.opts.throttle_ms));
             }
             match disk_get(shared, &key) {
                 Some(report) => Ok(report),
@@ -1101,9 +1098,9 @@ fn connection(shared: &Shared, stream: TcpStream) {
         // The scope joins the writer once every waiter holding a sender
         // clone has delivered its response — the graceful-drain bound.
     });
-    // The drain registry holds a clone of this stream, so dropping our
-    // handles does not close the socket. Shut it down explicitly —
-    // HTTP scrapers read to EOF and would otherwise hang forever.
+    // The drain registry holds a clone of this stream until the caller
+    // deregisters it, so dropping our handles does not close the socket.
+    // Shut it down explicitly — HTTP scrapers read to EOF.
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
@@ -1140,7 +1137,7 @@ pub fn serve_on(listener: TcpListener, opts: ServeOpts) -> Result<ServeSummary, 
         disk,
         telemetry: Telemetry::new(),
         draining: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
         addr,
         opts,
         shards,
@@ -1160,13 +1157,16 @@ pub fn serve_on(listener: TcpListener, opts: ServeOpts) -> Result<ServeSummary, 
             workers.spawn(move || worker(shared, index, rx));
         }
         std::thread::scope(|conns| {
-            loop {
+            for id in 0u64.. {
                 let stream = match listener.accept() {
                     Ok((stream, _)) => stream,
                     Err(_) => {
                         if shared.draining() {
                             break;
                         }
+                        // Out of fds or a transient network error: back
+                        // off instead of spinning on a failing accept.
+                        std::thread::sleep(ACCEPT_BACKOFF);
                         continue;
                     }
                 };
@@ -1178,9 +1178,16 @@ pub fn serve_on(listener: TcpListener, opts: ServeOpts) -> Result<ServeSummary, 
                         .conns
                         .lock()
                         .expect("conn registry poisoned")
-                        .push(read_half);
+                        .insert(id, read_half);
                 }
-                conns.spawn(move || connection(shared, stream));
+                conns.spawn(move || {
+                    connection(shared, stream);
+                    shared
+                        .conns
+                        .lock()
+                        .expect("conn registry poisoned")
+                        .remove(&id);
+                });
             }
             // The scope joins every connection: all accepted requests
             // are answered (or rejected) before the workers stop.

@@ -205,6 +205,19 @@ fn slow_reader_hits_bounded_queue_overload_not_unbounded_buffering() {
         let asm = format!(".L1:\n addq ${i}, %rax\n jne .L1\n");
         let frame = analyze_frame(i as u64, &format!("k{i}.s"), &asm, "spr", false);
         stream.write_all(frame.as_bytes()).expect("write");
+        if i == 0 {
+            // Wait until the worker has taken the first job off the queue,
+            // so on a busy host the queue still has room for two more.
+            loop {
+                let metrics = fetch_metrics(server.addr);
+                let queue = metrics.get("queue").unwrap().as_object().unwrap();
+                let depth = |k: &str| queue.get(k).unwrap().as_u64().unwrap();
+                if depth("peak_depth") > 0 && depth("depth") == 0 {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
     }
     let mut reader = BufReader::new(stream);
     let (mut ok, mut overloaded) = (0u64, 0u64);
@@ -809,4 +822,48 @@ fn prometheus_scrape_serves_linted_text_exposition() {
     // analyze and the shutdown.
     let summary = server.shutdown().expect("graceful drain");
     assert_eq!(summary.requests, 2, "{summary:?}");
+}
+
+/// Open file descriptors of this (test) process, which hosts the server.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs is mounted")
+        .count()
+}
+
+#[test]
+fn closed_connections_release_their_file_descriptors() {
+    const CONNECTIONS: usize = 500;
+    let server = ServerHandle::start(ServeOpts {
+        threads: 1,
+        queue: 4,
+        ..ServeOpts::default()
+    })
+    .expect("server starts");
+    let before = open_fds();
+    for id in 0..CONNECTIONS {
+        let pong = roundtrip(
+            server.addr,
+            &[format!("{{\"type\":\"ping\",\"id\":{id}}}\n")],
+            1,
+        );
+        assert_eq!(response_id(&pong[0]), id as u64);
+    }
+    // A connection thread deregisters just after its peer hangs up, so
+    // give the last few a moment. Other tests in this binary open
+    // sockets too, hence a bound well under one fd per connection.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let grown = loop {
+        let grown = open_fds().saturating_sub(before);
+        if grown < 64 || std::time::Instant::now() > deadline {
+            break grown;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(
+        grown < 64,
+        "{grown} fds still open after {CONNECTIONS} closed connections"
+    );
+    let summary = server.shutdown().expect("drain still answers");
+    assert_eq!(summary.requests, CONNECTIONS as u64 + 1, "{summary:?}");
 }

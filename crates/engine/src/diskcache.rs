@@ -85,7 +85,8 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a 64 fingerprint of an arbitrary blob. Callers compress bulky
 /// key material with this before hashing the key proper — the session
 /// fingerprints each machine model's JSON so one key part pins the full
-/// model without embedding it.
+/// model without embedding it. `serve` uses it for shard routing and
+/// machine-file cache keys.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
 }

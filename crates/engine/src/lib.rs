@@ -40,6 +40,4 @@ pub use report::{
     PredictorResult, PredictorSummary, RecordReport, RunTimings, Summary, SCHEMA_MINOR,
     SCHEMA_VERSION,
 };
-pub use session::{
-    evaluate_block, evaluate_block_timed, BlockLabels, BlockTimings, Session, StreamOutcome,
-};
+pub use session::{evaluate_block, evaluate_block_timed, BlockLabels, BlockTimings, Session};

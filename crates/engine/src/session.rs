@@ -19,9 +19,7 @@
 //! assert!(report.summary("incore").is_some());
 //! ```
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -297,9 +295,8 @@ impl Session {
         Ok(machines)
     }
 
-    /// The work grid, shared verbatim by [`run`](Self::run) and
-    /// [`stream`](Self::stream): each machine's blocks in variant order —
-    /// the standard validation grid (replica 0 only), or a volume corpus
+    /// The work grid: each machine's blocks in variant order — the
+    /// standard validation grid (replica 0 only), or a volume corpus
     /// when [`volume`](Self::volume) is set — truncated by `limit`.
     fn grid_blocks(&self, machines: &[Machine]) -> Vec<(usize, VolumeBlock)> {
         let mut grid: Vec<(usize, VolumeBlock)> = Vec::new();
@@ -368,7 +365,7 @@ impl Session {
                         &machines[mi],
                         &keys.fingerprints[mi],
                         &block,
-                        Some(&cache),
+                        &cache,
                         disk.as_ref(),
                         &keys,
                         &analytical,
@@ -418,194 +415,6 @@ impl Session {
         }
         Ok(report)
     }
-
-    /// Evaluate the grid as a bounded-memory stream: a producer feeds
-    /// blocks through a window-bounded queue to the worker pool, and
-    /// completed records are delivered to `on_record` **in grid order** —
-    /// at no point are more than O(window + threads) records resident, so
-    /// a volume corpus of any size runs in flat memory.
-    ///
-    /// Determinism carries over from the batch path: the records passed
-    /// to `on_record` are byte-identical (when serialized) to the
-    /// corresponding [`run`](Self::run) records at any thread count.
-    /// Unlike `run`, the streaming path does **not** memoize kernel
-    /// parses across blocks — each block's text is parsed where it is
-    /// evaluated (the interned arena makes re-parsing cheap), keeping
-    /// per-block memory independent of corpus-wide text diversity. The
-    /// persistent cache (when configured) works exactly as in `run`.
-    ///
-    /// `window` is the queue bound (`0` = 4 × threads, floor 64). On a
-    /// block error
-    /// the stream stops delivering at the failed block's position, drains
-    /// the in-flight work, and returns the earliest-position error.
-    pub fn stream(
-        &self,
-        window: usize,
-        mut on_record: impl FnMut(RecordReport),
-    ) -> Result<StreamOutcome, Error> {
-        let wall_start = Instant::now();
-        let cache = CorpusCache::new();
-        let machines = self.resolve_machines(&cache)?;
-        let disk = self.open_disk()?;
-        let keys = self.key_ctx(&machines);
-        let grid = self.grid_blocks(&machines);
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-        .max(1);
-        // Default window: enough slack that fast blocks (cache replays)
-        // don't serialize on producer/consumer handoffs, still O(1) in
-        // the corpus size.
-        let window = if window == 0 {
-            (4 * threads).max(64)
-        } else {
-            window.max(1)
-        };
-        let analytical: Vec<&dyn Predictor> = self.predictors.iter().map(|b| b.as_ref()).collect();
-        let reference = self.reference.as_deref();
-
-        type Outcome = Result<(RecordReport, BlockTimings), Error>;
-        let (work_tx, work_rx) = mpsc::sync_channel::<(usize, usize, VolumeBlock)>(window);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (res_tx, res_rx) = mpsc::sync_channel::<(usize, Outcome)>(window + threads);
-
-        let mut emitted = 0usize;
-        let mut first_err: Option<(usize, Error)> = None;
-        let mut timings = RunTimings::default();
-        {
-            let machines = &machines;
-            let keys = &keys;
-            let disk = disk.as_ref();
-            let analytical = &analytical;
-            rayon::scope(|s| {
-                s.spawn(move || {
-                    for (seq, (mi, block)) in grid.into_iter().enumerate() {
-                        if work_tx.send((seq, mi, block)).is_err() {
-                            break;
-                        }
-                    }
-                });
-                for _ in 0..threads {
-                    let work_rx = Arc::clone(&work_rx);
-                    let res_tx = res_tx.clone();
-                    s.spawn(move || loop {
-                        let msg = work_rx.lock().expect("work queue poisoned").recv();
-                        let Ok((seq, mi, block)) = msg else { break };
-                        let out = process_block(
-                            &machines[mi],
-                            &keys.fingerprints[mi],
-                            &block,
-                            None,
-                            disk,
-                            keys,
-                            analytical,
-                            reference,
-                        );
-                        if res_tx.send((seq, out)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(res_tx);
-                // In-order delivery on this thread: a reorder buffer keyed
-                // by sequence number, drained whenever the next-expected
-                // block lands. An error becomes a wall at its position —
-                // later results are dropped (bounding the buffer), earlier
-                // ones still stream out.
-                let mut next = 0usize;
-                let mut buffer: BTreeMap<usize, (RecordReport, BlockTimings)> = BTreeMap::new();
-                for (seq, out) in res_rx.iter() {
-                    match out {
-                        Err(e) => {
-                            if first_err.as_ref().is_none_or(|(s, _)| seq < *s) {
-                                first_err = Some((seq, e));
-                                buffer.retain(|s, _| *s < seq);
-                            }
-                        }
-                        Ok((record, t)) => {
-                            accumulate(&mut timings, &t);
-                            if first_err.as_ref().is_none_or(|(s, _)| seq < *s) {
-                                buffer.insert(seq, (record, t));
-                            }
-                        }
-                    }
-                    while let Some((record, _)) = buffer.remove(&next) {
-                        on_record(record);
-                        emitted += 1;
-                        next += 1;
-                    }
-                }
-            });
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        timings.wall_ms = wall_start.elapsed().as_nanos() as f64 / 1e6;
-        let disk_stats = disk.as_ref().map(|d| d.stats());
-        if obs::enabled() {
-            obs::counter("engine.blocks", emitted as u64);
-            if let Some(s) = disk_stats {
-                obs_disk_counters(s);
-            }
-        }
-        Ok(StreamOutcome {
-            blocks: emitted,
-            archs: machines.iter().map(|m| m.name.to_string()).collect(),
-            predictors: self
-                .predictors
-                .iter()
-                .map(|p| p.name().to_string())
-                .collect(),
-            reference: self.reference.as_ref().map(|r| r.name().to_string()),
-            cache: cache.stats(),
-            disk: disk_stats,
-            timings,
-        })
-    }
-
-    /// [`stream`](Self::stream) into a full [`BatchReport`]: collects the
-    /// streamed records and assembles the same report shape as
-    /// [`run`](Self::run). The report is byte-identical to the batch one
-    /// after normalizing the observational fields (`timings`, and `cache`
-    /// — the streaming path does not memoize kernel parses, so its
-    /// corpus-cache counters legitimately differ).
-    pub fn run_streamed(&self, window: usize) -> Result<BatchReport, Error> {
-        let mut records = Vec::new();
-        let outcome = self.stream(window, |r| records.push(r))?;
-        let mut report = BatchReport::from_records(
-            outcome.archs.clone(),
-            outcome.predictors.clone(),
-            outcome.reference.clone(),
-            records,
-            outcome.cache,
-        );
-        report.timings = outcome.timings;
-        Ok(report)
-    }
-}
-
-/// What a [`Session::stream`] run did, minus the records themselves
-/// (those went to the `on_record` sink as they completed).
-#[derive(Debug, Clone)]
-pub struct StreamOutcome {
-    /// Records delivered, in grid order.
-    pub blocks: usize,
-    /// Machine labels covered, in evaluation order.
-    pub archs: Vec<String>,
-    /// Analytical predictor names, in evaluation order.
-    pub predictors: Vec<String>,
-    /// Name of the reference predictor, if one ran.
-    pub reference: Option<String>,
-    /// In-memory cache counters (machine-file imports only — the stream
-    /// path does not memoize kernel parses).
-    pub cache: crate::cache::CacheStats,
-    /// Persistent-cache counters, when a cache directory was configured.
-    pub disk: Option<DiskStats>,
-    pub timings: RunTimings,
 }
 
 /// Fixed persistent-cache key parts for one session configuration.
@@ -624,11 +433,9 @@ fn isa_tag(isa: isa::Isa) -> &'static str {
     }
 }
 
-/// Evaluate one grid block — the single code path behind both the batch
-/// and streaming pipelines. Generates the block text, decodes it (through
-/// the shared cache when one is passed, else a direct arena parse),
-/// replays the record from the persistent cache when possible, and
-/// otherwise evaluates and stores it.
+/// Evaluate one grid block: generate its text, decode it through the
+/// shared kernel memo, replay the record from the persistent cache when
+/// possible, and otherwise evaluate and store it.
 ///
 /// Timing attribution: the kernel lookup books under `parse_ns` on a
 /// miss and `cache_ns` on a hit; persistent-cache probes, decodes, and
@@ -640,7 +447,7 @@ fn process_block(
     machine: &Machine,
     fingerprint: &str,
     block: &VolumeBlock,
-    cache: Option<&CorpusCache>,
+    cache: &CorpusCache,
     disk: Option<&DiskCache>,
     keys: &KeyCtx,
     analytical: &[&dyn Predictor],
@@ -649,84 +456,53 @@ fn process_block(
     let asm = block.generate(machine);
     let kernel_label = block.kernel_label();
     let mut timings = BlockTimings::default();
-    // Kernel decode, on demand: through the shared memo when one is
-    // passed (hit books under `cache_ns`, miss under `parse_ns`), else a
-    // direct arena parse (`parse_ns`).
-    let lookup = |timings: &mut BlockTimings| -> Result<Arc<isa::Kernel>, Error> {
-        let lookup_start = Instant::now();
-        match cache {
-            Some(c) => {
-                let (k, hit) = c
-                    .kernel_with_hit(&asm, machine.isa)
-                    .map_err(|e| e.with_context(block.variant.label()))?;
-                let ns = lookup_start.elapsed().as_nanos() as u64;
-                if hit {
-                    timings.cache_ns += ns;
-                } else {
-                    timings.parse_ns += ns;
-                }
-                Ok(k)
-            }
-            None => {
-                let k = isa::parse_kernel(&asm, machine.isa)
-                    .map(Arc::new)
-                    .map_err(|e| Error::from(e).with_context(block.variant.label()))?;
-                timings.parse_ns += lookup_start.elapsed().as_nanos() as u64;
-                Ok(k)
-            }
-        }
-    };
+    // The memo sees every block, replayed or not, so a warm run reports
+    // the same kernel-cache counters as a cold one.
+    let lookup_start = Instant::now();
+    let (kernel, hit) = cache
+        .kernel_with_hit(&asm, machine.isa)
+        .map_err(|e| e.with_context(block.variant.label()))?;
+    let lookup_ns = lookup_start.elapsed().as_nanos() as u64;
+    if hit {
+        timings.cache_ns += lookup_ns;
+    } else {
+        timings.parse_ns += lookup_ns;
+    }
     let labels = BlockLabels {
         kernel: &kernel_label,
         compiler: block.variant.compiler.name(),
         opt: block.variant.opt.name(),
     };
     let chip = machine.chip.to_string();
+    let key = [
+        diskcache::RECORD_CODEC_VERSION,
+        keys.schema.as_str(),
+        fingerprint,
+        keys.predictors.as_str(),
+        keys.reference.as_str(),
+        isa_tag(machine.isa),
+        asm.as_str(),
+    ];
     if let Some(disk) = disk {
-        let key = [
-            diskcache::RECORD_CODEC_VERSION,
-            keys.schema.as_str(),
-            fingerprint,
-            keys.predictors.as_str(),
-            keys.reference.as_str(),
-            isa_tag(machine.isa),
-            asm.as_str(),
-        ];
         let probe_start = Instant::now();
         let replayed = disk.get(&key).and_then(|payload| {
             diskcache::decode_record(&payload, &kernel_label, labels.compiler, labels.opt, &chip)
         });
         timings.cache_ns += probe_start.elapsed().as_nanos() as u64;
         if let Some(record) = replayed {
-            // Batch parity: the kernel memo still sees every block, so a
-            // warm run reports the same cache counters as a cold one. The
-            // streaming path has no memo — a replay skips the parse.
-            if cache.is_some() {
-                let _ = lookup(&mut timings)?;
-            }
             return Ok((record, timings));
         }
-        let kernel = lookup(&mut timings)?;
-        let (record, computed) =
-            evaluate_block_timed(machine, &kernel, labels, analytical, reference);
-        merge_computed(&mut timings, computed);
-        let put_start = Instant::now();
-        disk.put(&key, &diskcache::encode_record(&record));
-        timings.cache_ns += put_start.elapsed().as_nanos() as u64;
-        return Ok((record, timings));
     }
-    let kernel = lookup(&mut timings)?;
     let (record, computed) = evaluate_block_timed(machine, &kernel, labels, analytical, reference);
-    merge_computed(&mut timings, computed);
-    Ok((record, timings))
-}
-
-/// Fold an `evaluate_block_timed` result into the block's timings (the
-/// lookup fields were already booked by the caller).
-fn merge_computed(timings: &mut BlockTimings, computed: BlockTimings) {
     timings.reference_ns += computed.reference_ns;
     timings.predictors_ns += computed.predictors_ns;
     timings.per_predictor_ns = computed.per_predictor_ns;
+    if let Some(disk) = disk {
+        let put_start = Instant::now();
+        disk.put(&key, &diskcache::encode_record(&record));
+        timings.cache_ns += put_start.elapsed().as_nanos() as u64;
+    }
+    Ok((record, timings))
 }
 
 /// Sum per-block timings into the report's [`RunTimings`].
@@ -734,20 +510,16 @@ fn fold_timings<'a>(
     wall_start: Instant,
     blocks: impl Iterator<Item = &'a BlockTimings>,
 ) -> RunTimings {
+    let ms = |ns: u64| ns as f64 / 1e6;
     let mut t = RunTimings::default();
     for b in blocks {
-        accumulate(&mut t, b);
+        t.parse_ms += ms(b.parse_ns);
+        t.reference_ms += ms(b.reference_ns);
+        t.predictors_ms += ms(b.predictors_ns);
+        t.cache_ms += ms(b.cache_ns);
     }
     t.wall_ms = wall_start.elapsed().as_nanos() as f64 / 1e6;
     t
-}
-
-fn accumulate(t: &mut RunTimings, b: &BlockTimings) {
-    let ms = |ns: u64| ns as f64 / 1e6;
-    t.parse_ms += ms(b.parse_ns);
-    t.reference_ms += ms(b.reference_ns);
-    t.predictors_ms += ms(b.predictors_ns);
-    t.cache_ms += ms(b.cache_ns);
 }
 
 fn obs_disk_counters(s: DiskStats) {
@@ -948,38 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_delivers_in_order_and_matches_run() {
-        let session = Session::new()
-            .archs(&[uarch::Arch::GoldenCove])
-            .limit(6)
-            .threads(2);
-        let batch = session.run().unwrap();
-        let mut streamed = Vec::new();
-        let outcome = session.stream(3, |r| streamed.push(r)).unwrap();
-        assert_eq!(outcome.blocks, 6);
-        assert_eq!(outcome.archs, batch.archs);
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&batch.records).unwrap(),
-            "streamed records must be byte-identical to the batch ones"
-        );
-        assert!(outcome.timings.reference_ms > 0.0);
-        // No kernel memoization on the stream path: the corpus cache only
-        // served machine-file imports (none here).
-        assert_eq!(outcome.cache.kernel_hits + outcome.cache.kernel_misses, 0);
-    }
-
-    #[test]
-    fn stream_reports_the_earliest_failing_block() {
-        // A machine file that parses but a corpus block that cannot be
-        // generated is hard to fabricate; a bad machine file fails before
-        // streaming starts instead.
-        let session = Session::new().archs(&[]).machine_file("bad.json", "{");
-        let err = session.stream(2, |_| {}).unwrap_err();
-        assert_eq!(err.kind(), crate::error::ErrorKind::MachineSpec);
-    }
-
-    #[test]
     fn volume_cache_dir_replays_byte_identical() {
         let dir =
             std::env::temp_dir().join(format!("incore-session-diskcache-{}", std::process::id()));
@@ -1013,15 +753,14 @@ mod tests {
             warm.timings.predictors_ms, 0.0,
             "replayed blocks book no compute time"
         );
-        // The streaming path shares the same cache: a third pass replays
-        // every block from disk.
-        let mut streamed = Vec::new();
-        let outcome = session.stream(0, |r| streamed.push(r)).unwrap();
-        let d = outcome.disk.expect("cache_dir was configured");
-        assert_eq!(d.hits as usize, grid + 4);
-        assert_eq!(d.misses, 0);
+        // A profiled third pass reports the replay in its obs block: every
+        // block came from disk.
+        let profiled = session.profile(true).run().unwrap();
+        let obs = profiled.obs.expect("profiled run carries obs");
+        assert_eq!(obs.disk_hits, Some((grid + 4) as u64));
+        assert_eq!(obs.disk_misses, Some(0));
         assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
+            serde_json::to_string(&profiled.records).unwrap(),
             serde_json::to_string(&warm.records).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);

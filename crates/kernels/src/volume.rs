@@ -2,7 +2,7 @@
 //! used by the ECM/Roofline models and the bandwidth benchmarks — plus
 //! the volume corpus source ([`VolumeBlock`] / [`volume_blocks`]) that
 //! scales the generator personalities past the fixed validation grid for
-//! throughput work (streaming sessions, the pipeline benchmark).
+//! throughput work (`validate --volume`, the pipeline benchmark).
 
 use crate::{variants_for, Arch, StreamKernel, Variant};
 use uarch::Machine;

@@ -1,5 +1,5 @@
-//! Equivalence suite for the throughput pipeline: the streaming session,
-//! the persistent result cache, and the interned parse path must all be
+//! Equivalence suite for the throughput pipeline: the worker count, the
+//! persistent result cache, and the interned parse path must all be
 //! *invisible* in the report bytes — they may only change how fast the
 //! answer arrives, never the answer.
 
@@ -18,13 +18,10 @@ fn session(threads: usize) -> engine::Session {
         .reference(None)
 }
 
-/// Report JSON with the observational blocks zeroed: `timings` is wall
-/// clock and `cache` counters legitimately differ between the batch
-/// (kernel-memoizing) and streaming (parse-where-evaluated) paths.
+/// Report JSON with the wall-clock `timings` block zeroed.
 fn normalized(report: &engine::BatchReport) -> String {
     let mut r = report.clone();
     r.timings = Default::default();
-    r.cache = Default::default();
     r.to_json()
 }
 
@@ -35,23 +32,15 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn streaming_matches_batch_at_one_and_eight_threads() {
-    let golden = normalized(&session(1).run().expect("batch runs"));
-    for threads in [1usize, 8] {
-        let batch = session(threads).run().expect("batch runs");
-        let streamed = session(threads).run_streamed(0).expect("stream runs");
-        assert_eq!(batch.records.len(), BLOCKS);
-        assert_eq!(
-            normalized(&batch),
-            golden,
-            "batch report must not depend on thread count ({threads})"
-        );
-        assert_eq!(
-            normalized(&streamed),
-            golden,
-            "streamed report must be byte-identical to batch ({threads})"
-        );
-    }
+fn report_is_byte_identical_at_one_and_eight_threads() {
+    let one = session(1).run().expect("runs at one thread");
+    let eight = session(8).run().expect("runs at eight threads");
+    assert_eq!(one.records.len(), BLOCKS);
+    assert_eq!(
+        normalized(&one),
+        normalized(&eight),
+        "the report must not depend on thread count"
+    );
 }
 
 #[test]
@@ -64,12 +53,6 @@ fn warm_cache_run_is_byte_identical_to_cold() {
         normalized(&warm),
         "a disk-replayed run may not change a byte of the report"
     );
-    // The streaming path shares the same cache entries.
-    let streamed = session(2)
-        .cache_dir(&dir)
-        .run_streamed(0)
-        .expect("warm stream runs");
-    assert_eq!(normalized(&streamed), normalized(&cold));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
