@@ -4,6 +4,11 @@
 //! naive cycle-stepped reference engine (`SimConfig { reference: true }`).
 //! This is the contract that lets `validate --json` stay byte-identical
 //! across the engine rewrite.
+//!
+//! The MCA baseline carries the same contract: its scratch-buffer
+//! simulation (`mca::predict`) must reproduce the allocation-heavy
+//! reference loop (`mca::predict_reference`) bit for bit on every corpus
+//! block and on the same generated kernels.
 
 use proptest::prelude::*;
 
@@ -35,6 +40,35 @@ fn assert_engines_agree(m: &uarch::Machine, k: &isa::Kernel, cfg: exec::SimConfi
         "{label} on {}: event {event:?} vs reference {reference:?}",
         m.arch.label()
     );
+}
+
+/// The observable fields of an [`mca::McaResult`], with floats as bits.
+/// `early_exit_iter` is bookkeeping and is excluded, as for the simulator.
+fn mca_bits(r: mca::McaResult) -> (u64, usize) {
+    (r.cycles_per_iter.to_bits(), r.uops)
+}
+
+fn assert_mca_agrees(m: &uarch::Machine, k: &isa::Kernel, label: &str) {
+    let fast = mca::predict(m, k);
+    let reference = mca::predict_reference(m, k);
+    assert_eq!(
+        mca_bits(fast),
+        mca_bits(reference),
+        "mca {label} on {}: fast {fast:?} vs reference {reference:?}",
+        m.arch.label()
+    );
+}
+
+/// Every corpus variant on every machine through both MCA paths, at the
+/// fixed iteration count the validation pipeline uses.
+#[test]
+fn corpus_mca_agrees_everywhere() {
+    for m in uarch::all_machines() {
+        for v in kernels::variants_for(m.arch) {
+            let k = kernels::generate_kernel(&v, &m);
+            assert_mca_agrees(&m, &k, &v.label());
+        }
+    }
 }
 
 /// Every corpus variant on every machine, with a reduced iteration count
@@ -115,6 +149,9 @@ proptest! {
             ..Default::default()
         };
         for m in [uarch::Machine::golden_cove(), uarch::Machine::zen4()] {
+            let fast = mca::predict(&m, &k);
+            let slow = mca::predict_reference(&m, &k);
+            prop_assert_eq!(mca_bits(fast), mca_bits(slow), "mca {} on:\n{}", m.arch.label(), asm);
             let event = exec::simulate(&m, &k, cfg);
             let reference = exec::simulate(
                 &m,
@@ -151,5 +188,8 @@ proptest! {
         let event = exec::simulate(&m, &k, cfg);
         let reference = exec::simulate(&m, &k, exec::SimConfig { reference: true, ..cfg });
         prop_assert_eq!(bits(event), bits(reference), "{}", asm);
+        let fast = mca::predict(&m, &k);
+        let slow = mca::predict_reference(&m, &k);
+        prop_assert_eq!(mca_bits(fast), mca_bits(slow), "mca on:\n{}", asm);
     }
 }
