@@ -28,7 +28,8 @@
 //!    can never delay a real issue: outcomes are untouched, only the
 //!    cycles that re-examine an entry change.
 //! 3. **Steady-state early exit.** At the end of any cycle in which an
-//!    iteration retired, the engine fingerprints the machine state
+//!    iteration retired, the engine fingerprints the machine state into
+//!    the shared [`uarch::steady`] detector (the same one `mca` uses)
 //!    *relative to `now` and the retired-iteration count*, quotiented by
 //!    future-equivalence: coordinates that can no longer influence any
 //!    future phase (busy horizons and completions already due, issue
@@ -58,22 +59,12 @@
 
 use crate::{RawOutcome, SimConfig, SimResult, TraceEvent};
 use incore::depgraph::DepGraph;
+use uarch::steady::{self, SteadyState};
 use uarch::{InstrClass, InstrDesc, Machine};
 
 /// Sentinel for "not yet issued" in the flat issue matrix and in
 /// [`InFlight::issue_done`] / [`InFlight::completion`].
-const NONE: u64 = u64::MAX;
-
-/// Fingerprint samples kept live, as a ring: periods on this core are
-/// tiny (a handful of retire cycles), so once the schedule is periodic
-/// the matching sample is always recent. Pre-steady samples (taken while
-/// the out-of-order window is still filling) rotate out harmlessly.
-const SAMPLE_WINDOW: usize = 64;
-
-/// Total fingerprints taken before giving up on steady-state detection —
-/// a backstop so genuinely aperiodic schedules (e.g. the monotone
-/// ROB-slot leak of eliminated instructions) stop paying for sampling.
-const SAMPLE_BUDGET: usize = 768;
+const NONE: u64 = steady::NOT_ISSUED;
 
 /// Per-instruction-instance bookkeeping. µ-op issue state is an inline
 /// bitmask + two cycle numbers, so the untraced path never allocates per
@@ -135,12 +126,8 @@ pub struct SimScratch {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     /// Keys popped from `heap` this cycle, sorted back to window order.
     wake: Vec<usize>,
-    /// Fingerprint under construction.
-    fp: Vec<i64>,
-    /// Recorded fingerprints: `(hash, retired_iters, now, state)`.
-    samples: Vec<(u64, usize, u64, Vec<i64>)>,
-    /// Retired snapshot buffers, recycled across runs.
-    snap_pool: Vec<Vec<i64>>,
+    /// Steady-state detector (fingerprint ring and sample budget).
+    steady: SteadyState,
 }
 
 pub(crate) fn simulate(
@@ -186,9 +173,10 @@ pub(crate) fn simulate(
     s.retire_issued.clear();
     s.retire_issued.resize(total_iters, 0);
     s.heap.clear();
-    for (_, _, _, snap) in s.samples.drain(..) {
-        s.snap_pool.push(snap);
-    }
+    // Owned for the run so the fingerprint can borrow the rest of the
+    // arena; handed back (with its recycled buffers) at the end.
+    let mut steady = std::mem::take(&mut s.steady);
+    steady.reset();
 
     let sum_uops: u64 = descs.iter().map(|d| d.uop_count() as u64).sum();
     // Heaviest dependence-edge weight: once an issue time is this far in
@@ -227,8 +215,6 @@ pub(crate) fn simulate(
     let mut issued_uops_total: u64 = 0;
     let mut warmup_end_cycle: Option<u64> = None;
     let mut warmup_issued: u64 = 0;
-    let mut sampling_dead = false;
-    let mut samples_taken = 0usize;
     let mut early_exit_iter: Option<usize> = None;
 
     let max_cycles: u64 = 1_000_000 + (total_iters as u64) * 2_000;
@@ -481,13 +467,14 @@ pub(crate) fn simulate(
 
         // --- Steady-state detection. ---
         if extrapolatable
-            && !sampling_dead
+            && steady.active()
             && retired_iters > retired_before
             && retired_iters >= trace_horizon
             && retired_iters < total_iters
             && next_dispatch.0 < total_iters
         {
             fingerprint(
+                steady.begin(),
                 s,
                 n,
                 now,
@@ -498,29 +485,19 @@ pub(crate) fn simulate(
                 retire_head,
                 wmax,
             );
-            let h = hash_fp(&s.fp);
-            let prior = s
-                .samples
-                .iter()
-                .find(|(ph, _, _, snap)| *ph == h && *snap == s.fp)
-                .map(|(_, pr, pc, _)| (*pr, *pc));
-            if let Some((p_retired, p_cycle)) = prior {
+            if let Some(period) = steady.observe(retired_iters, now) {
                 // Periodic: every Δk iterations cost exactly Δc cycles,
                 // for as long as dispatch keeps feeding the window.
-                let dk = retired_iters - p_retired;
-                let dc = now - p_cycle;
+                let (dk, dc) = (period.iters, period.cycles);
                 // The warm-up boundary may lie in the span being skipped:
                 // its retire cycle and issued-µop count follow from the
                 // same periodicity, by the same integer arithmetic the
                 // reference engine would have observed.
                 let warmup_at = |s: &SimScratch, upto: usize| {
                     (cfg.warmup > 0 && cfg.warmup <= upto).then(|| {
-                        let mw = cfg.warmup - p_retired;
-                        let periods = (mw / dk) as u64;
-                        let widx = p_retired - 1 + mw % dk;
                         (
-                            s.retire_cycle[widx] + periods * dc,
-                            s.retire_issued[widx] + periods * dk as u64 * sum_uops,
+                            period.retire_cycle(&s.retire_cycle, cfg.warmup),
+                            period.extrapolate(&s.retire_issued, cfg.warmup, dk as u64 * sum_uops),
                         )
                     })
                 };
@@ -529,8 +506,7 @@ pub(crate) fn simulate(
                     // delay older ones ⇒ the periodic retire pattern holds
                     // through the drain, and the final retirement is a
                     // closed-form expression.
-                    let m = total_iters - p_retired;
-                    let final_t = s.retire_cycle[p_retired - 1 + m % dk] + (m / dk) as u64 * dc;
+                    let final_t = period.retire_cycle(&s.retire_cycle, total_iters);
                     if final_t < max_cycles {
                         if warmup_end_cycle.is_none() {
                             if let Some((wc, wi)) = warmup_at(s, total_iters) {
@@ -551,7 +527,7 @@ pub(crate) fn simulate(
                     }
                     // The run would hit the watchdog mid-pattern; the
                     // formula above cannot describe a truncated run, so
-                    // keep simulating (and stop paying for fingerprints).
+                    // keep simulating (detection has ended).
                 } else {
                     // Teleport: advance the whole machine state by `j`
                     // whole periods — exact while dispatch continues, for
@@ -562,11 +538,11 @@ pub(crate) fn simulate(
                     let jdc = j as u64 * dc;
                     let jdk = j * dk;
                     if j >= 1 && now + jdc < max_cycles {
-                        // Sanitizer S004: `s.fp` still holds the pre-jump
+                        // Sanitizer S004: the detector still holds the pre-jump
                         // fingerprint; the post-jump state must reproduce
                         // it bit for bit (all coordinates are relative).
                         #[cfg(debug_assertions)]
-                        let fp_pre = s.fp.clone();
+                        let fp_pre = steady.fingerprint().to_vec();
                         if warmup_end_cycle.is_none() {
                             if let Some((wc, wi)) = warmup_at(s, retired_iters + jdk) {
                                 warmup_end_cycle = Some(wc);
@@ -620,7 +596,9 @@ pub(crate) fn simulate(
                         now += jdc;
                         #[cfg(debug_assertions)]
                         if next_dispatch.0 < total_iters {
+                            let fp_post = steady.begin();
                             fingerprint(
+                                fp_post,
                                 s,
                                 n,
                                 now,
@@ -631,27 +609,12 @@ pub(crate) fn simulate(
                                 retire_head,
                                 wmax,
                             );
-                            crate::sanitizer::check_teleport(&fp_pre, &mut s.fp);
+                            crate::sanitizer::check_teleport(&fp_pre, fp_post);
                         }
                     }
                     // One jump per run: afterwards the periodic middle is
                     // gone and only the drain remains.
                 }
-                sampling_dead = true;
-            } else if samples_taken < SAMPLE_BUDGET {
-                samples_taken += 1;
-                if s.samples.len() == SAMPLE_WINDOW {
-                    // Rotate the oldest sample out; in a periodic schedule
-                    // the matching sample is at most one period old.
-                    let (_, _, _, snap) = s.samples.remove(0);
-                    s.snap_pool.push(snap);
-                }
-                let mut snap = s.snap_pool.pop().unwrap_or_default();
-                snap.clear();
-                snap.extend_from_slice(&s.fp);
-                s.samples.push((h, retired_iters, now, snap));
-            } else {
-                sampling_dead = true;
             }
         }
 
@@ -684,7 +647,7 @@ pub(crate) fn simulate(
         obs::counter("sim.calls", 1);
         obs::counter("sim.cycles", now);
         obs::counter("sim.heap.pops", prof_heap_pops);
-        obs::counter("sim.samples.taken", samples_taken as u64);
+        obs::counter("sim.samples.taken", steady.samples_taken() as u64);
         obs::counter(
             if early_exit_iter.is_some() {
                 "sim.steady.hit"
@@ -708,6 +671,7 @@ pub(crate) fn simulate(
         }
     }
 
+    s.steady = steady;
     crate::finish(
         cfg,
         total_iters,
@@ -771,17 +735,7 @@ fn next_event(
     next
 }
 
-/// A fingerprint word for an issue-matrix row whose every value has
-/// issued and matured: the whole row collapses to this one sentinel.
-/// Never collides with per-value words (`i64::MIN`, [`FP_MATURE`], or
-/// `t - now ≤ 0`), so the variable-width encoding is uniquely decodable.
-const FP_ROW_MATURE: i64 = i64::MAX;
-/// A fingerprint word for a single matured issue-matrix value.
-const FP_MATURE: i64 = i64::MAX - 1;
-/// A fingerprint word for an issue-matrix row with no issues yet.
-const FP_ROW_EMPTY: i64 = i64::MAX - 2;
-
-/// Record the machine state relative to (`now`, `retired`) into `s.fp`,
+/// Record the machine state relative to (`now`, `retired`) into `fp`,
 /// *quotiented by future-equivalence*: two equal fingerprints ⇒ the
 /// executions from those two points are identical modulo the
 /// (Δ iterations, Δ cycles) shift. Coordinates that can no longer
@@ -794,7 +748,8 @@ const FP_ROW_EMPTY: i64 = i64::MAX - 2;
 /// own (strictly later) cycle first.
 #[allow(clippy::too_many_arguments)]
 fn fingerprint(
-    s: &mut SimScratch,
+    fp: &mut Vec<i64>,
+    s: &SimScratch,
     n: usize,
     now: u64,
     retired: usize,
@@ -809,15 +764,14 @@ fn fingerprint(
     // First cycle the simulation will see again; anything available by
     // then is available at every future read.
     let horizon = now + 1;
-    s.fp.clear();
-    s.fp.push(next_dispatch.0 as i64 - rb);
-    s.fp.push(next_dispatch.1 as i64);
-    s.fp.push(rob_uops as i64);
-    s.fp.push(sched_uops as i64);
+    fp.push(next_dispatch.0 as i64 - rb);
+    fp.push(next_dispatch.1 as i64);
+    fp.push(rob_uops as i64);
+    fp.push(sched_uops as i64);
     for &p in &s.port_busy {
-        s.fp.push(p.max(horizon) as i64 - base);
+        fp.push(p.max(horizon) as i64 - base);
     }
-    s.fp.push((s.window.len() - retire_head) as i64);
+    fp.push((s.window.len() - retire_head) as i64);
     // The window is the consecutive run of instructions ending just
     // before the dispatch cursor, so every entry's (iter, idx) follows
     // from the cursor and the window length already recorded — only µ-op
@@ -828,16 +782,16 @@ fn fingerprint(
         .iter()
         .rposition(|w| w.issued_mask != 0 || w.issue_done != NONE)
         .map_or(0, |p| p + 1);
-    s.fp.push(live as i64);
+    fp.push(live as i64);
     for w in &s.window[retire_head..retire_head + live] {
-        s.fp.push(w.issued_mask as i64);
+        fp.push(w.issued_mask as i64);
         // Consumers read issue times through the matrix, so the entry's
         // own state only matters as "issued or not" (the sentinel) plus
         // the completion cycle, and that only until it falls due.
-        s.fp.push(if w.issue_done != NONE {
+        fp.push(if w.issue_done != NONE {
             w.completion.max(horizon) as i64 - base
         } else {
-            i64::MIN
+            steady::FP_NOT_ISSUED
         });
     }
     // The slice of the issue matrix still reachable by future readiness
@@ -846,35 +800,8 @@ fn fingerprint(
     // are untouched; rows before `retired - 1` can never be read again.)
     let lo = retired.saturating_sub(1);
     for it in lo..=next_dispatch.0 {
-        let row = &s.issue_done[it * n..(it + 1) * n];
-        if row.iter().all(|&t| t == NONE) {
-            s.fp.push(FP_ROW_EMPTY);
-        } else if row
-            .iter()
-            .all(|&t| t != NONE && t as f64 + wmax <= horizon as f64)
-        {
-            s.fp.push(FP_ROW_MATURE);
-        } else {
-            for &t in row {
-                s.fp.push(if t == NONE {
-                    i64::MIN
-                } else if t as f64 + wmax <= horizon as f64 {
-                    FP_MATURE
-                } else {
-                    t as i64 - base
-                });
-            }
-        }
+        steady::push_issue_row(fp, &s.issue_done[it * n..(it + 1) * n], now, |t| {
+            t as f64 + wmax <= horizon as f64
+        });
     }
-}
-
-/// FNV-1a over the fingerprint words — cheap pre-filter before the exact
-/// `Vec` comparison (matches are confirmed, never trusted from the hash).
-fn hash_fp(fp: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in fp {
-        h ^= v as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

@@ -31,6 +31,7 @@ pub mod ports;
 pub mod predict;
 pub mod registry;
 pub mod spec;
+pub mod steady;
 
 pub use compose::{Feature, MachineBuilder};
 pub use instr::{Entry, InstrClass, InstrDesc, Uop, WidthClass};
