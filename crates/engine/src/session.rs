@@ -75,8 +75,10 @@ pub fn evaluate_block(
 }
 
 /// [`evaluate_block`] plus per-phase wall-clock attribution (via
-/// [`Predictor::predict_timed`]). The timings are observational only —
-/// the record is computed identically either way.
+/// [`Predictor::predict_timed`]). The block is described once
+/// ([`Machine::describe_kernel`]) and the descriptors are handed to every
+/// predictor. The timings are observational only — the record is
+/// computed identically either way.
 pub fn evaluate_block_timed(
     machine: &Machine,
     kernel: &isa::Kernel,
@@ -89,9 +91,11 @@ pub fn evaluate_block_timed(
     // `--profile` trace shows each kernel × predictor as its own slice);
     // a single cached bool keeps the disabled path free of formatting.
     let profiling = obs::enabled();
+    // One descriptor lookup per block, shared by every predictor.
+    let descs = machine.describe_kernel(kernel);
     let measured = reference.map(|r| {
         let _span = profiling.then(|| obs::span(&format!("{}:{}", r.name(), labels.kernel)));
-        let (p, took) = r.predict_timed(machine, kernel);
+        let (p, took) = r.predict_timed(machine, kernel, &descs);
         timings.reference_ns = took.as_nanos() as u64;
         p.cycles_per_iter
     });
@@ -99,7 +103,7 @@ pub fn evaluate_block_timed(
         .iter()
         .map(|p| {
             let _span = profiling.then(|| obs::span(&format!("{}:{}", p.name(), labels.kernel)));
-            let (pred, took) = p.predict_timed(machine, kernel);
+            let (pred, took) = p.predict_timed(machine, kernel, &descs);
             timings.predictors_ns += took.as_nanos() as u64;
             timings.per_predictor_ns.push(took.as_nanos() as u64);
             PredictorResult {

@@ -155,14 +155,15 @@ fn apply_quirks(
     }
 }
 
-/// Decode the kernel on this machine and build its dependence graph, with
-/// quirks applied per `cfg`. Both execution engines start from this.
+/// Build the kernel's dependence graph from its descriptors on this
+/// machine, with quirks applied per `cfg`. Both execution engines start
+/// from this.
 pub(crate) fn prepare(
     machine: &Machine,
     kernel: &Kernel,
     cfg: SimConfig,
+    mut descs: Vec<InstrDesc>,
 ) -> (Vec<InstrDesc>, DepGraph) {
-    let mut descs = machine.describe_kernel(kernel);
     let mut graph = DepGraph::build(machine, kernel, &descs);
     if cfg.quirks {
         apply_quirks(machine, kernel, &mut descs, &mut graph);
@@ -252,7 +253,16 @@ impl uarch::Predictor for CoreSimulator {
     }
 
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> uarch::Prediction {
-        let r = simulate(machine, kernel, self.config);
+        self.predict_described(machine, kernel, &machine.describe_kernel(kernel))
+    }
+
+    fn predict_described(
+        &self,
+        machine: &Machine,
+        kernel: &Kernel,
+        descs: &[InstrDesc],
+    ) -> uarch::Prediction {
+        let r = simulate_described(machine, kernel, descs, self.config);
         uarch::Prediction {
             cycles_per_iter: r.cycles_per_iter,
             bottleneck: uarch::Bottleneck::Measured,
@@ -280,6 +290,7 @@ fn needs_reference(cfg: SimConfig, descs: &[InstrDesc]) -> bool {
 fn simulate_dispatch(
     machine: &Machine,
     kernel: &Kernel,
+    descs: Option<&[InstrDesc]>,
     cfg: SimConfig,
     scratch: Option<&mut SimScratch>,
     trace: Option<(&mut Vec<TraceEvent>, usize)>,
@@ -287,7 +298,8 @@ fn simulate_dispatch(
     if kernel.instructions.is_empty() {
         return SimResult::empty();
     }
-    let (descs, graph) = prepare(machine, kernel, cfg);
+    let descs = descs.map_or_else(|| machine.describe_kernel(kernel), <[InstrDesc]>::to_vec);
+    let (descs, graph) = prepare(machine, kernel, cfg, descs);
     if needs_reference(cfg, &descs) {
         reference::simulate(machine, cfg, &descs, &graph, trace)
     } else {
@@ -304,7 +316,18 @@ fn simulate_dispatch(
 /// thread-local [`SimScratch`], so repeated calls on one thread reuse all
 /// simulation buffers.
 pub fn simulate(machine: &Machine, kernel: &Kernel, cfg: SimConfig) -> SimResult {
-    simulate_dispatch(machine, kernel, cfg, None, None)
+    simulate_dispatch(machine, kernel, None, cfg, None, None)
+}
+
+/// [`simulate`] from the kernel's descriptors, already looked up by the
+/// caller (`descs` must equal `machine.describe_kernel(kernel)`).
+pub fn simulate_described(
+    machine: &Machine,
+    kernel: &Kernel,
+    descs: &[InstrDesc],
+    cfg: SimConfig,
+) -> SimResult {
+    simulate_dispatch(machine, kernel, Some(descs), cfg, None, None)
 }
 
 /// [`simulate`] with a caller-owned scratch arena — for callers that
@@ -316,7 +339,7 @@ pub fn simulate_with_scratch(
     cfg: SimConfig,
     scratch: &mut SimScratch,
 ) -> SimResult {
-    simulate_dispatch(machine, kernel, cfg, Some(scratch), None)
+    simulate_dispatch(machine, kernel, None, cfg, Some(scratch), None)
 }
 
 /// Simulate and also return the pipeline trace of the first
@@ -329,7 +352,14 @@ pub fn simulate_traced(
     trace_iters: usize,
 ) -> (SimResult, Vec<TraceEvent>) {
     let mut events = Vec::new();
-    let r = simulate_dispatch(machine, kernel, cfg, None, Some((&mut events, trace_iters)));
+    let r = simulate_dispatch(
+        machine,
+        kernel,
+        None,
+        cfg,
+        None,
+        Some((&mut events, trace_iters)),
+    );
     events.sort_by_key(|e| (e.iter, e.idx));
     (r, events)
 }

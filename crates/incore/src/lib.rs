@@ -50,7 +50,7 @@ pub use report::Report;
 pub use throughput::PortAssignment;
 
 use isa::Kernel;
-use uarch::Machine;
+use uarch::{InstrDesc, Machine};
 
 /// Analyzer options.
 #[derive(Debug, Clone, Copy)]
@@ -174,7 +174,16 @@ impl uarch::Predictor for InCoreModel {
     }
 
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> uarch::Prediction {
-        let a = analyze_with(machine, kernel, self.options);
+        self.predict_described(machine, kernel, &machine.describe_kernel(kernel))
+    }
+
+    fn predict_described(
+        &self,
+        machine: &Machine,
+        kernel: &Kernel,
+        descs: &[InstrDesc],
+    ) -> uarch::Prediction {
+        let a = analyze_described(machine, kernel, descs, self.options);
         let bottleneck = match a.bottleneck() {
             Bottleneck::PortPressure => uarch::Bottleneck::PortPressure,
             Bottleneck::Dependency => uarch::Bottleneck::Dependency,
@@ -196,15 +205,24 @@ pub fn analyze(machine: &Machine, kernel: &Kernel) -> Analysis {
 
 /// Analyze a kernel with explicit options.
 pub fn analyze_with(machine: &Machine, kernel: &Kernel, opts: Options) -> Analysis {
-    let descs = machine.describe_kernel(kernel);
-    let (port_loads, per_inst) =
-        throughput::port_pressure(machine, kernel, &descs, opts.assignment);
+    analyze_described(machine, kernel, &machine.describe_kernel(kernel), opts)
+}
+
+/// [`analyze_with`] from the kernel's descriptors, already looked up by
+/// the caller (`descs` must equal `machine.describe_kernel(kernel)`).
+pub fn analyze_described(
+    machine: &Machine,
+    kernel: &Kernel,
+    descs: &[InstrDesc],
+    opts: Options,
+) -> Analysis {
+    let (port_loads, per_inst) = throughput::port_pressure(machine, kernel, descs, opts.assignment);
     let tp_bound = port_loads.iter().copied().fold(0.0f64, f64::max);
 
     let total_uops: usize = descs.iter().map(|d| d.uop_count()).sum();
     let frontend_bound = total_uops as f64 / machine.dispatch_width as f64;
 
-    let graph = depgraph::DepGraph::build(machine, kernel, &descs);
+    let graph = depgraph::DepGraph::build(machine, kernel, descs);
     let (cp_latency, cp_nodes) = critpath::critical_path_with_nodes(&graph);
     let lcd = lcd::loop_carried(&graph);
 

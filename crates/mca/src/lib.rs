@@ -27,6 +27,7 @@ pub mod timeline;
 
 use isa::dataflow::dataflow;
 use isa::Kernel;
+use uarch::steady::{self, SteadyState};
 use uarch::{InstrClass, InstrDesc, Machine, PortSet, Uop};
 
 /// Prediction result.
@@ -36,6 +37,21 @@ pub struct McaResult {
     pub cycles_per_iter: f64,
     /// Total µ-ops per iteration after MCA's decomposition.
     pub uops: usize,
+    /// Iterations actually retired in simulation before the steady-state
+    /// early exit extrapolated the rest (`None` = ran to completion).
+    /// Bookkeeping only — never affects the numeric fields, and not part
+    /// of the [`uarch::Prediction`].
+    pub early_exit_iter: Option<usize>,
+}
+
+impl McaResult {
+    fn empty() -> Self {
+        McaResult {
+            cycles_per_iter: 0.0,
+            uops: 0,
+            early_exit_iter: None,
+        }
+    }
 }
 
 /// The MCA-style baseline as a [`uarch::Predictor`] — the unified entry
@@ -53,13 +69,26 @@ impl uarch::Predictor for McaBaseline {
     }
 
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> uarch::Prediction {
-        let r = crate::predict(machine, kernel);
-        uarch::Prediction {
-            cycles_per_iter: r.cycles_per_iter,
-            bottleneck: uarch::Bottleneck::Unattributed,
-            port_pressure: Vec::new(),
-            uops_per_iter: r.uops as f64,
-        }
+        self.predict_described(machine, kernel, &machine.describe_kernel(kernel))
+    }
+
+    fn predict_described(
+        &self,
+        machine: &Machine,
+        kernel: &Kernel,
+        descs: &[InstrDesc],
+    ) -> uarch::Prediction {
+        prediction(crate::predict_described(machine, kernel, descs))
+    }
+}
+
+/// An [`McaResult`] as a [`uarch::Prediction`] (without the bookkeeping).
+fn prediction(r: McaResult) -> uarch::Prediction {
+    uarch::Prediction {
+        cycles_per_iter: r.cycles_per_iter,
+        bottleneck: uarch::Bottleneck::Unattributed,
+        port_pressure: Vec::new(),
+        uops_per_iter: r.uops as f64,
     }
 }
 
@@ -68,15 +97,18 @@ impl uarch::Predictor for McaBaseline {
 /// Runs the buffer-reusing fast simulation ([`fast_simulate`]); its result
 /// is pinned bit-identical to [`predict_reference`] by the test suite.
 pub fn predict(machine: &Machine, kernel: &Kernel) -> McaResult {
+    predict_described(machine, kernel, &machine.describe_kernel(kernel))
+}
+
+/// [`predict`] from the kernel's descriptors, already looked up by the
+/// caller (`descs` must equal `machine.describe_kernel(kernel)`).
+pub fn predict_described(machine: &Machine, kernel: &Kernel, descs: &[InstrDesc]) -> McaResult {
     use std::cell::RefCell;
     let n = kernel.instructions.len();
     if n == 0 {
-        return McaResult {
-            cycles_per_iter: 0.0,
-            uops: 0,
-        };
+        return McaResult::empty();
     }
-    let descs = mca_descs(machine, kernel);
+    let descs = mca_descs(machine, kernel, descs);
     let edges = mca_edges(kernel, &descs);
     thread_local! {
         static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
@@ -90,12 +122,9 @@ pub fn predict(machine: &Machine, kernel: &Kernel) -> McaResult {
 pub fn predict_reference(machine: &Machine, kernel: &Kernel) -> McaResult {
     let n = kernel.instructions.len();
     if n == 0 {
-        return McaResult {
-            cycles_per_iter: 0.0,
-            uops: 0,
-        };
+        return McaResult::empty();
     }
-    let descs = mca_descs(machine, kernel);
+    let descs = mca_descs(machine, kernel, &machine.describe_kernel(kernel));
     let edges = mca_edges(kernel, &descs);
     simulate(machine, &descs, &edges, 150, 30, None)
 }
@@ -113,13 +142,7 @@ impl uarch::Predictor for McaReferenceBaseline {
     }
 
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> uarch::Prediction {
-        let r = predict_reference(machine, kernel);
-        uarch::Prediction {
-            cycles_per_iter: r.cycles_per_iter,
-            bottleneck: uarch::Bottleneck::Unattributed,
-            port_pressure: Vec::new(),
-            uops_per_iter: r.uops as f64,
-        }
+        prediction(predict_reference(machine, kernel))
     }
 }
 
@@ -142,15 +165,9 @@ pub fn predict_with_events(
 ) -> (McaResult, Vec<Event>) {
     let n = kernel.instructions.len();
     if n == 0 {
-        return (
-            McaResult {
-                cycles_per_iter: 0.0,
-                uops: 0,
-            },
-            Vec::new(),
-        );
+        return (McaResult::empty(), Vec::new());
     }
-    let descs = mca_descs(machine, kernel);
+    let descs = mca_descs(machine, kernel, &machine.describe_kernel(kernel));
     let edges = mca_edges(kernel, &descs);
     let mut events = Vec::new();
     let r = simulate(machine, &descs, &edges, iters.max(1), 0, Some(&mut events));
@@ -159,14 +176,15 @@ pub fn predict_with_events(
     (r, events)
 }
 
-/// MCA's view of the instruction stream: no rename-stage elimination.
-fn mca_descs(machine: &Machine, kernel: &Kernel) -> Vec<InstrDesc> {
+/// MCA's view of the instruction stream (`descs` from
+/// [`Machine::describe_kernel`]): no rename-stage elimination.
+fn mca_descs(machine: &Machine, kernel: &Kernel, descs: &[InstrDesc]) -> Vec<InstrDesc> {
     use uarch::ports::PortCap;
     kernel
         .instructions
         .iter()
-        .map(|inst| {
-            let d = machine.describe(inst);
+        .zip(descs)
+        .map(|(inst, d)| {
             if d.class == InstrClass::Eliminated && !inst.is_nop() {
                 // Schedule the move/idiom on a real unit with unit latency.
                 let ports = if inst.max_vec_width() > 0 {
@@ -182,7 +200,7 @@ fn mca_descs(machine: &Machine, kernel: &Kernel) -> Vec<InstrDesc> {
                     from_fallback: false,
                 }
             } else {
-                d
+                d.clone()
             }
         })
         .collect()
@@ -400,6 +418,7 @@ fn simulate(
     McaResult {
         cycles_per_iter: (now - warm_cycle) as f64 / measured,
         uops: total_uops / total_iters.max(1),
+        early_exit_iter: None,
     }
 }
 
@@ -457,10 +476,12 @@ struct SimScratch {
     /// port, as the reference computes on every issue).
     occ_of: Vec<u8>,
     /// Flattened `it * n + idx` tables; `u64::MAX` encodes "not yet".
+    /// An instance's issue time is the cycle its last µ-op issued.
     issue_at: Vec<u64>,
     pending: Vec<u32>,
-    last_uop_at: Vec<u64>,
     inst_done: Vec<u32>,
+    /// Cycle on which iteration `i` retired (filled as the run proceeds).
+    retire_cycle: Vec<u64>,
     /// Exact readiness time per instance, computed once when its last
     /// producer issues (`u64::MAX` = still unknown). `issue_at` entries are
     /// write-once, so the value never needs invalidation.
@@ -468,16 +489,32 @@ struct SimScratch {
     /// Unissued-producer count per instance; `-1` = not yet dispatched.
     prod_pending: Vec<i32>,
     /// Port each µ-op instance was bound to, indexed `it * U + off + ui`
-    /// (`U` = µ-ops per iteration). Written at dispatch, read at
-    /// notification; never read for undispatched instances, so it is not
-    /// cleared between calls.
+    /// (`U` = µ-ops per iteration), or [`UOP_ISSUED`] once it issued.
+    /// Written at dispatch, read at notification and by the fingerprint;
+    /// never read for undispatched instances, so it is not cleared between
+    /// calls.
     uop_port: Vec<u8>,
     /// Queue sequence id of each µ-op instance, same indexing as
     /// `uop_port`.
     uop_seq: Vec<u32>,
     /// Per-dispatch-attempt bound-port scratch.
     bound: Vec<usize>,
+    /// Idle-skip scratch: per µ-op of the stalled instruction, its slot's
+    /// `(members start, members len, cursor + occurrence, multiplicity)`.
+    scan: Vec<(usize, u64, u64, u64)>,
+    /// Steady-state detector (fingerprint ring and sample budget).
+    steady: SteadyState,
 }
+
+/// Fingerprints [`fast_simulate`] records before giving up on a steady
+/// state. An MCA sample costs about as much as simulating an iteration,
+/// and the corpus blocks that settle at all mostly do so within a few
+/// dozen retirements; the rest (round-robin bindings perturbed by
+/// queue-full stalls) stop paying for detection early.
+const STEADY_BUDGET: usize = 48;
+
+/// [`SimScratch::uop_port`] marker for a µ-op instance that has issued.
+const UOP_ISSUED: u8 = u8::MAX;
 
 /// Exact readiness time of a dispatched instance all of whose producers
 /// have issued: the max over incoming edges of producer issue time plus
@@ -711,14 +748,14 @@ fn fast_simulate(
     s.issue_at.resize(cells, u64::MAX);
     s.pending.clear();
     s.pending.resize(cells, 0);
-    s.last_uop_at.clear();
-    s.last_uop_at.resize(cells, 0);
     s.ready_at.clear();
     s.ready_at.resize(cells, u64::MAX);
     s.prod_pending.clear();
     s.prod_pending.resize(cells, -1);
     s.inst_done.clear();
     s.inst_done.resize(total_iters, 0);
+    s.retire_cycle.clear();
+    s.retire_cycle.resize(total_iters, 0);
     // `uop_port`/`uop_seq` are written at dispatch and only read for
     // dispatched instances, so stale contents from a previous call are
     // never observed — grow without clearing.
@@ -728,12 +765,32 @@ fn fast_simulate(
         s.uop_seq.resize(uop_cells, 0);
     }
 
+    // Closed-form extrapolation through the drain is exact only when no
+    // µ-op holds its port across cycles: then a port always takes its
+    // oldest ready entry and a younger instruction can never delay an
+    // older one, so stopping dispatch at the last iteration leaves every
+    // earlier retirement where the periodic pattern puts it. A blocking
+    // µ-op bound to a port can delay an older entry that becomes ready a
+    // cycle later. Those kernels keep simulating: shifting MCA's state a
+    // whole number of periods would rewrite every heap entry and every
+    // per-instance table row, for the few corpus kernels (divides) that
+    // carry such µ-ops.
+    let blocking = s.occ_of.iter().any(|&o| o > 1);
+    // Heaviest dependence-edge weight: once an issue time is this far in
+    // the past it reads as "available" on every remaining edge.
+    let wmax = edges.iter().map(|e| e.weight).max().unwrap_or(0);
+    // Owned for the run so the fingerprint can borrow the rest of the
+    // arena; handed back (with its recycled buffers) at the end.
+    let mut steady = std::mem::take(&mut s.steady);
+    steady.reset(STEADY_BUDGET);
+
     let mut now: u64 = 0;
     let mut next = (0usize, 0usize);
     let mut warm_cycle = 0u64;
     let mut done_iters = 0usize;
     let mut total_uops = 0usize;
     let mut retire_ptr = 0usize;
+    let mut early_exit_iter = None;
     let max_cycles = 1_000_000u64 + total_iters as u64 * 3_000;
 
     while done_iters < total_iters && now < max_cycles {
@@ -852,24 +909,43 @@ fn fast_simulate(
 
         // Issue: each port independently takes the oldest *ready* µ-op in
         // its queue (static binding: no port stealing). Matured future
-        // entries surface into the ready heap first; the ready heap's
-        // minimum sequence id is precisely the reference scan's first
-        // ready entry by queue position.
+        // entries join the ready set first; the minimum sequence id over
+        // the ready heap and the matured entries is precisely the
+        // reference scan's first ready entry by queue position. The
+        // oldest matured entry is held aside, so the common case — one
+        // entry matures and issues at once — never touches the ready heap.
         for p in 0..np {
             if s.port_free_at[p] > now {
                 continue;
             }
+            let mut matured: Option<(u32, u32)> = None;
             while let Some(&std::cmp::Reverse((r, seq, cell))) = s.future[p].peek() {
                 if r > now {
                     break;
                 }
                 s.future[p].pop();
-                s.ready[p].push(std::cmp::Reverse((seq, cell)));
+                match matured {
+                    Some(m) if m < (seq, cell) => s.ready[p].push(std::cmp::Reverse((seq, cell))),
+                    Some(m) => {
+                        s.ready[p].push(std::cmp::Reverse(m));
+                        matured = Some((seq, cell));
+                    }
+                    None => matured = Some((seq, cell)),
+                }
             }
-            let Some(&std::cmp::Reverse((_, cell))) = s.ready[p].peek() else {
-                continue;
+            let (seq, cell) = match (matured, s.ready[p].peek()) {
+                (Some(m), Some(&std::cmp::Reverse(top))) if top < m => {
+                    s.ready[p].pop();
+                    s.ready[p].push(std::cmp::Reverse(m));
+                    top
+                }
+                (Some(m), _) => m,
+                (None, Some(&std::cmp::Reverse(top))) => {
+                    s.ready[p].pop();
+                    top
+                }
+                (None, None) => continue,
             };
-            s.ready[p].pop();
             s.qlen[p] -= 1;
             issued_any = true;
             let cell = cell as usize;
@@ -877,10 +953,18 @@ fn fast_simulate(
             let occ = s.occ_of[idx * np + p] as u64;
             s.port_free_at[p] = now + occ;
             total_uops += 1;
-            s.last_uop_at[cell] = s.last_uop_at[cell].max(now);
+            // Mark the µ-op instance issued: the fingerprint lists only
+            // the entries still queued.
+            let uop_base = it * uops_per_iter + s.uop_offsets[idx] as usize;
+            let ui = (0..descs[idx].uops.len())
+                .find(|&ui| s.uop_port[uop_base + ui] == p as u8 && s.uop_seq[uop_base + ui] == seq)
+                .expect("issued entry belongs to its instance");
+            s.uop_port[uop_base + ui] = UOP_ISSUED;
             s.pending[cell] -= 1;
             if s.pending[cell] == 0 {
-                s.issue_at[cell] = s.last_uop_at[cell];
+                // µ-ops issue in cycle order, so the last one sets the
+                // instance's issue time.
+                s.issue_at[cell] = now;
                 s.inst_done[it] += 1;
                 notify_issue(
                     cell,
@@ -904,13 +988,43 @@ fn fast_simulate(
                 );
             }
         }
+        let retired_before = retire_ptr;
         while retire_ptr < total_iters && s.inst_done[retire_ptr] as usize == n {
+            s.retire_cycle[retire_ptr] = now;
             retire_ptr += 1;
             if retire_ptr == warmup {
                 warm_cycle = now;
             }
         }
         done_iters = retire_ptr;
+
+        // Steady-state detection, at the end of every cycle in which an
+        // iteration retired while dispatch still runs.
+        if steady.active()
+            && retire_ptr > retired_before
+            && retire_ptr < total_iters
+            && next.0 < total_iters
+        {
+            fingerprint(steady.begin(), s, n, np, now, retire_ptr, next, wmax);
+            if let Some(period) = steady.observe(retire_ptr, now) {
+                let final_t = period.retire_cycle(&s.retire_cycle, total_iters);
+                if !blocking && final_t < max_cycles {
+                    // Every later retirement follows the period; the run
+                    // ends the cycle after the last one, with every µ-op
+                    // of every iteration issued.
+                    if warmup > retire_ptr {
+                        warm_cycle = period.retire_cycle(&s.retire_cycle, warmup);
+                    }
+                    early_exit_iter = Some(retire_ptr);
+                    done_iters = total_iters;
+                    total_uops = total_iters * uops_per_iter;
+                    now = final_t + 1;
+                    break;
+                }
+                // Blocking µ-ops, or a run the watchdog would truncate
+                // mid-pattern: keep simulating (detection has ended).
+            }
+        }
         now += 1;
 
         // Idle-cycle skip. If the cycle just simulated (T = now-1) neither
@@ -947,39 +1061,34 @@ fn fast_simulate(
             // (c_s + (k-1)*m_s + j) mod len_s, with c_s the cursor after
             // cycle T's failed bind and m_s the instruction's µ-op count
             // in that slot. The pattern is periodic, so scanning a bounded
-            // window is exact for every cycle it covers.
+            // window is exact for every cycle it covers. Cycles from
+            // `t_issue` on never become the target, so the scan stops
+            // there: a later fit, or none, leaves `t_issue` the minimum.
             const SCAN: u64 = 256;
             let mut bound_by_dispatch = now + SCAN;
             if next.0 < total_iters {
                 let idx = next.1;
                 let off = s.uop_offsets[idx] as usize;
-                let nuops = descs[idx].uops.len();
-                'scan: for k in 1..=SCAN {
-                    // Per-slot occurrence index within this bind.
-                    let mut ok = true;
-                    for ui in 0..nuops {
-                        let slot = s.slot_of_uop[off + ui] as usize;
-                        let j = s.slot_of_uop[off..off + ui]
-                            .iter()
-                            .filter(|&&x| x as usize == slot)
-                            .count();
-                        let m = s.slot_of_uop[off..off + nuops]
-                            .iter()
-                            .filter(|&&x| x as usize == slot)
-                            .count() as u64;
-                        let (ms, me) = s.member_ranges[slot];
-                        let members = &s.members[ms as usize..me as usize];
-                        let pos = (s.cursors[slot] as u64 + (k - 1) * m + j as u64)
-                            % members.len() as u64;
-                        let p = members[pos as usize];
-                        if s.qlen[p] as usize >= PORT_QUEUE {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
+                let slots = &s.slot_of_uop[off..off + descs[idx].uops.len()];
+                // Per µ-op: its slot's members, the cursor plus the µ-op's
+                // occurrence index `j` within this bind, and the slot's
+                // multiplicity `m` — all fixed while the bind stalls.
+                s.scan.clear();
+                for (ui, &slot) in slots.iter().enumerate() {
+                    let j = slots[..ui].iter().filter(|&&x| x == slot).count() as u64;
+                    let m = slots.iter().filter(|&&x| x == slot).count() as u64;
+                    let (ms, me) = s.member_ranges[slot as usize];
+                    let base = s.cursors[slot as usize] as u64 + j;
+                    s.scan.push((ms as usize, (me - ms) as u64, base, m));
+                }
+                for k in 1..=SCAN.min(t_issue.saturating_sub(now - 1)) {
+                    let fits = s.scan.iter().all(|&(ms, len, base, m)| {
+                        let p = s.members[ms + ((base + (k - 1) * m) % len) as usize];
+                        (s.qlen[p] as usize) < PORT_QUEUE
+                    });
+                    if fits {
                         bound_by_dispatch = now - 1 + k;
-                        break 'scan;
+                        break;
                     }
                 }
             } else {
@@ -1006,10 +1115,83 @@ fn fast_simulate(
         }
     }
 
+    s.steady = steady;
     let measured = (done_iters.saturating_sub(warmup)).max(1) as f64;
     McaResult {
         cycles_per_iter: (now - warm_cycle) as f64 / measured,
         uops: total_uops / total_iters.max(1),
+        early_exit_iter,
+    }
+}
+
+/// Record MCA's state at the end of cycle `now`, relative to `now` and the
+/// retired-iteration count, into `fp` — quotiented by future-equivalence,
+/// so equal fingerprints mean the runs from those two points are
+/// identical up to the (Δ iterations, Δ cycles) shift:
+///
+/// * the dispatch cursor and every round-robin binding cursor;
+/// * per port, its busy horizon (clamped at the next cycle: any horizon
+///   due by then reads the same) and its queue length;
+/// * the issue-time rows still reachable (wrap producers of the oldest
+///   unretired iteration through the dispatching one), clamped once
+///   mature for the heaviest edge;
+/// * the bound port of every dispatched µ-op of an unretired iteration,
+///   or a marker once it issued, in dispatch order — which is each
+///   port's queue order. The remaining µ-op counts follow from the
+///   markers;
+/// * the readiness of every unissued instance: the number of producers
+///   still unissued, or the known ready cycle clamped at the next cycle.
+///
+/// An instance's issue time is always the cycle of its last µ-op, so no
+/// per-µ-op issue history is needed, and per-port sequence numbers only
+/// order entries that dispatch order already orders.
+#[allow(clippy::too_many_arguments)]
+fn fingerprint(
+    fp: &mut Vec<i64>,
+    s: &SimScratch,
+    n: usize,
+    np: usize,
+    now: u64,
+    retired: usize,
+    next: (usize, usize),
+    wmax: u64,
+) {
+    let base = now as i64;
+    let horizon = now + 1;
+    let uops_per_iter = s.slot_of_uop.len();
+    fp.push((next.0 - retired) as i64);
+    fp.push(next.1 as i64);
+    fp.extend(s.cursors.iter().map(|&c| c as i64));
+    for p in 0..np {
+        fp.push(s.port_free_at[p].max(horizon) as i64 - base);
+        fp.push(s.qlen[p] as i64);
+    }
+    for it in retired - 1..=next.0 {
+        steady::push_issue_row(fp, &s.issue_at[it * n..(it + 1) * n], now, |t| {
+            t + wmax <= horizon
+        });
+    }
+    // Bound ports of every dispatched µ-op from the oldest unretired
+    // iteration on (issued ones marked), eight bytes to a word; the
+    // count follows from the dispatch cursor.
+    let uop_end = next.0 * uops_per_iter + s.uop_offsets.get(next.1).map_or(0, |&o| o as usize);
+    let chunks = s.uop_port[retired * uops_per_iter..uop_end].chunks(8);
+    fp.extend(chunks.map(|c| {
+        let mut w = [0u8; 8];
+        w[..c.len()].copy_from_slice(c);
+        i64::from_le_bytes(w)
+    }));
+    // Readiness of every unissued instance, in dispatch order; the rows
+    // above say which instances those are.
+    let cells = retired * n..next.0 * n + next.1;
+    for (cell, &t) in cells.clone().zip(&s.issue_at[cells]) {
+        if t == steady::NOT_ISSUED {
+            fp.push(if s.prod_pending[cell] > 0 {
+                -(s.prod_pending[cell] as i64)
+            } else {
+                s.ready_at[cell].max(horizon) as i64 - base
+            });
+        }
     }
 }
 

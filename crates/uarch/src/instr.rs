@@ -164,7 +164,15 @@ pub struct Entry {
 impl Entry {
     /// Whether this entry matches the given instruction.
     pub fn matches(&self, inst: &Instruction) -> bool {
-        if !self.mnemonics.contains(&inst.norm_mnemonic()) {
+        self.matches_normalized(inst, inst.norm_mnemonic())
+    }
+
+    /// [`matches`](Self::matches) with the instruction's
+    /// [`norm_mnemonic`](Instruction::norm_mnemonic) computed once by the
+    /// caller — a table scan then normalizes each instruction once, not
+    /// once per entry.
+    pub fn matches_normalized(&self, inst: &Instruction, norm_mnemonic: &str) -> bool {
+        if !self.mnemonics.contains(&norm_mnemonic) {
             return false;
         }
         if !self.width.matches(inst) {

@@ -173,7 +173,8 @@ impl Machine {
             return InstrDesc::eliminated();
         }
 
-        let entry = self.table.iter().find(|e| e.matches(inst));
+        let norm = inst.norm_mnemonic();
+        let entry = self.table.iter().find(|e| e.matches_normalized(inst, norm));
 
         let mut desc = match entry {
             Some(e) => InstrDesc {

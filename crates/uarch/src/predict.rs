@@ -13,7 +13,7 @@
 //! the one layer every predictor already depends on: the contract is
 //! "machine description + parsed kernel in, [`Prediction`] out".
 
-use crate::Machine;
+use crate::{InstrDesc, Machine};
 use isa::Kernel;
 
 /// What a predictor says limits the kernel's steady-state throughput.
@@ -78,6 +78,21 @@ pub trait Predictor: Send + Sync {
     /// Predict the block throughput of `kernel` on `machine`.
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> Prediction;
 
+    /// [`predict`](Predictor::predict) from the kernel's descriptors,
+    /// already looked up by the caller: `descs` must equal
+    /// `machine.describe_kernel(kernel)`. A batch pipeline describes each
+    /// block once and hands the slice to every predictor. The default
+    /// ignores it and describes for itself.
+    fn predict_described(
+        &self,
+        machine: &Machine,
+        kernel: &Kernel,
+        descs: &[InstrDesc],
+    ) -> Prediction {
+        let _ = descs;
+        self.predict(machine, kernel)
+    }
+
     /// Whether this predictor stands in for a measurement (ground truth)
     /// rather than an analytical model. Exactly one reference predictor
     /// anchors relative prediction error in a validation run.
@@ -85,18 +100,20 @@ pub trait Predictor: Send + Sync {
         false
     }
 
-    /// [`predict`](Predictor::predict) plus the wall-clock time the call
-    /// took. Batch pipelines use this to attribute run time to each
-    /// predictor (e.g. the `timings` block of `validate --json`) without
-    /// every implementation having to care about clocks; the timing is
-    /// observational only and must never influence the prediction.
+    /// [`predict_described`](Predictor::predict_described) plus the
+    /// wall-clock time the call took. Batch pipelines use this to
+    /// attribute run time to each predictor (e.g. the `timings` block of
+    /// `validate --json`) without every implementation having to care
+    /// about clocks; the timing is observational only and must never
+    /// influence the prediction.
     fn predict_timed(
         &self,
         machine: &Machine,
         kernel: &Kernel,
+        descs: &[InstrDesc],
     ) -> (Prediction, std::time::Duration) {
         let start = std::time::Instant::now();
-        let p = self.predict(machine, kernel);
+        let p = self.predict_described(machine, kernel, descs);
         (p, start.elapsed())
     }
 }
@@ -126,7 +143,7 @@ mod tests {
             isa: isa::Isa::X86,
             loop_label: None,
         };
-        let (p, t) = Fixed.predict_timed(&Machine::golden_cove(), &k);
+        let (p, t) = Fixed.predict_timed(&Machine::golden_cove(), &k, &[]);
         assert_eq!(p.cycles_per_iter, 2.5);
         assert!(t.as_nanos() > 0 || t.is_zero()); // a Duration, possibly 0 on coarse clocks
     }

@@ -38,8 +38,10 @@ use std::collections::VecDeque;
 /// (taken while the machine is still filling) rotate out harmlessly.
 pub const SAMPLE_WINDOW: usize = 64;
 
-/// Total fingerprints taken before giving up on steady-state detection —
-/// a backstop so aperiodic schedules stop paying for sampling.
+/// Default total of fingerprints recorded before giving up on
+/// steady-state detection — a backstop so aperiodic schedules stop paying
+/// for sampling. A simulator whose samples cost more than its cycles pass
+/// a smaller budget to [`SteadyState::reset`].
 pub const SAMPLE_BUDGET: usize = 768;
 
 /// "Not issued yet" in an issue-time row.
@@ -146,17 +148,20 @@ pub struct SteadyState {
     samples: VecDeque<Sample>,
     pool: Vec<Vec<i64>>,
     taken: usize,
+    budget: usize,
     done: bool,
 }
 
 impl SteadyState {
-    /// Forget every sample and re-arm detection for a new run.
-    pub fn reset(&mut self) {
+    /// Forget every sample and re-arm detection for a new run that may
+    /// record at most `budget` fingerprints.
+    pub fn reset(&mut self, budget: usize) {
         for s in self.samples.drain(..) {
             self.pool.push(s.state);
         }
         self.fp.clear();
         self.taken = 0;
+        self.budget = budget;
         self.done = false;
     }
 
@@ -200,7 +205,7 @@ impl SteadyState {
                 last.now
             );
         }
-        let hash = fnv1a(&self.fp);
+        let hash = fingerprint_hash(&self.fp);
         let prior = self
             .samples
             .iter()
@@ -215,7 +220,7 @@ impl SteadyState {
                 cycles: now - p_now,
             });
         }
-        if self.taken >= SAMPLE_BUDGET {
+        if self.taken >= self.budget {
             self.done = true;
             return None;
         }
@@ -237,13 +242,23 @@ impl SteadyState {
     }
 }
 
-/// FNV-1a over the fingerprint words — a cheap pre-filter before the
-/// exact comparison (matches are confirmed, never trusted from the hash).
-fn fnv1a(fp: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in fp {
-        h ^= v as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a over the fingerprint words in four interleaved lanes (so the
+/// multiply chains overlap), folded together with the length — a cheap
+/// pre-filter before the exact comparison (matches are confirmed, never
+/// trusted from the hash).
+fn fingerprint_hash(fp: &[i64]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut lanes = [0xcbf2_9ce4_8422_2325u64; 4];
+    let chunks = fp.chunks_exact(4);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (h, &v) in lanes.iter_mut().zip(c) {
+            *h = (*h ^ v as u64).wrapping_mul(PRIME);
+        }
+    }
+    let mut h = fp.len() as u64;
+    for v in lanes.into_iter().chain(tail.iter().map(|&v| v as u64)) {
+        h = (h ^ v).wrapping_mul(PRIME);
     }
     h
 }
@@ -257,6 +272,7 @@ mod tests {
     #[test]
     fn finds_the_period_and_extrapolates_exactly() {
         let mut st = SteadyState::default();
+        st.reset(SAMPLE_BUDGET);
         let states: [&[i64]; 8] = [&[9], &[8], &[1, 2], &[3], &[4], &[1, 2], &[3], &[4]];
         let mut retire_cycle = Vec::new();
         let mut period = None;
@@ -282,6 +298,7 @@ mod tests {
     #[test]
     fn ring_and_budget_bound_the_work() {
         let mut st = SteadyState::default();
+        st.reset(SAMPLE_BUDGET);
         for k in 1..=SAMPLE_BUDGET {
             st.begin().push(k as i64);
             assert_eq!(st.observe(k, k as u64), None);
@@ -295,7 +312,7 @@ mod tests {
         );
         assert!(!st.active(), "budget spent ends detection");
         // A reset re-arms detection for the next run.
-        st.reset();
+        st.reset(SAMPLE_BUDGET);
         assert!(st.active());
         assert_eq!(st.samples_taken(), 0);
     }
