@@ -23,6 +23,8 @@
 //! none of the analysis machinery of `incore`, mirroring how LLVM-MCA and
 //! OSACA are independent tools reading the same scheduling facts.
 
+#[cfg(test)]
+mod corpus_tests;
 pub mod timeline;
 
 use isa::dataflow::dataflow;
@@ -506,13 +508,6 @@ struct SimScratch {
     steady: SteadyState,
 }
 
-/// Fingerprints [`fast_simulate`] records before giving up on a steady
-/// state. An MCA sample costs about as much as simulating an iteration,
-/// and the corpus blocks that settle at all mostly do so within a few
-/// dozen retirements; the rest (round-robin bindings perturbed by
-/// queue-full stalls) stop paying for detection early.
-const STEADY_BUDGET: usize = 48;
-
 /// [`SimScratch::uop_port`] marker for a µ-op instance that has issued.
 const UOP_ISSUED: u8 = u8::MAX;
 
@@ -771,10 +766,11 @@ fn fast_simulate(
     // older one, so stopping dispatch at the last iteration leaves every
     // earlier retirement where the periodic pattern puts it. A blocking
     // µ-op bound to a port can delay an older entry that becomes ready a
-    // cycle later. Those kernels keep simulating: shifting MCA's state a
-    // whole number of periods would rewrite every heap entry and every
-    // per-instance table row, for the few corpus kernels (divides) that
-    // carry such µ-ops.
+    // cycle later. Those kernels skip detection and simulate every
+    // iteration: in the trio corpus they are the 32 π blocks (the
+    // divide), only 4 of which repeat their state within the sample
+    // budget, and shifting MCA's state a whole number of periods (as
+    // `exec` does) would rewrite every heap entry and per-instance row.
     let blocking = s.occ_of.iter().any(|&o| o > 1);
     // Heaviest dependence-edge weight: once an issue time is this far in
     // the past it reads as "available" on every remaining edge.
@@ -782,7 +778,10 @@ fn fast_simulate(
     // Owned for the run so the fingerprint can borrow the rest of the
     // arena; handed back (with its recycled buffers) at the end.
     let mut steady = std::mem::take(&mut s.steady);
-    steady.reset(STEADY_BUDGET);
+    steady.reset(steady::SAMPLE_BUDGET);
+    if blocking {
+        steady.stop();
+    }
 
     let mut now: u64 = 0;
     let mut next = (0usize, 0usize);
@@ -1005,10 +1004,11 @@ fn fast_simulate(
             && retire_ptr < total_iters
             && next.0 < total_iters
         {
-            fingerprint(steady.begin(), s, n, np, now, retire_ptr, next, wmax);
-            if let Some(period) = steady.observe(retire_ptr, now) {
+            fingerprint_key(steady.begin(), s, np, now, retire_ptr, next);
+            let rest = |fp: &mut Vec<i64>| fingerprint_rest(fp, s, n, now, retire_ptr, next, wmax);
+            if let Some(period) = steady.observe_split(retire_ptr, now, rest) {
                 let final_t = period.retire_cycle(&s.retire_cycle, total_iters);
-                if !blocking && final_t < max_cycles {
+                if final_t < max_cycles {
                     // Every later retirement follows the period; the run
                     // ends the cycle after the last one, with every µ-op
                     // of every iteration issued.
@@ -1021,8 +1021,9 @@ fn fast_simulate(
                     now = final_t + 1;
                     break;
                 }
-                // Blocking µ-ops, or a run the watchdog would truncate
-                // mid-pattern: keep simulating (detection has ended).
+                // The watchdog would truncate the run mid-pattern, which
+                // the formula cannot describe: keep simulating (detection
+                // has ended).
             }
         }
         now += 1;
@@ -1125,13 +1126,37 @@ fn fast_simulate(
 }
 
 /// Record MCA's state at the end of cycle `now`, relative to `now` and the
-/// retired-iteration count, into `fp` — quotiented by future-equivalence,
-/// so equal fingerprints mean the runs from those two points are
-/// identical up to the (Δ iterations, Δ cycles) shift:
+/// retired-iteration count, quotiented by future-equivalence, so equal
+/// fingerprints mean the runs from those two points are identical up to
+/// the (Δ iterations, Δ cycles) shift. The key, written at every sample,
+/// is the cheap part:
 ///
 /// * the dispatch cursor and every round-robin binding cursor;
 /// * per port, its busy horizon (clamped at the next cycle: any horizon
-///   due by then reads the same) and its queue length;
+///   due by then reads the same) and its queue length.
+///
+/// [`fingerprint_rest`] writes the rest once a key repeats.
+fn fingerprint_key(
+    fp: &mut Vec<i64>,
+    s: &SimScratch,
+    np: usize,
+    now: u64,
+    retired: usize,
+    next: (usize, usize),
+) {
+    let base = now as i64;
+    let horizon = now + 1;
+    fp.push((next.0 - retired) as i64);
+    fp.push(next.1 as i64);
+    fp.extend(s.cursors.iter().map(|&c| c as i64));
+    for p in 0..np {
+        fp.push(s.port_free_at[p].max(horizon) as i64 - base);
+        fp.push(s.qlen[p] as i64);
+    }
+}
+
+/// The rest of MCA's fingerprint (see [`fingerprint_key`]):
+///
 /// * the issue-time rows still reachable (wrap producers of the oldest
 ///   unretired iteration through the dispatching one), clamped once
 ///   mature for the heaviest edge;
@@ -1145,12 +1170,10 @@ fn fast_simulate(
 /// An instance's issue time is always the cycle of its last µ-op, so no
 /// per-µ-op issue history is needed, and per-port sequence numbers only
 /// order entries that dispatch order already orders.
-#[allow(clippy::too_many_arguments)]
-fn fingerprint(
+fn fingerprint_rest(
     fp: &mut Vec<i64>,
     s: &SimScratch,
     n: usize,
-    np: usize,
     now: u64,
     retired: usize,
     next: (usize, usize),
@@ -1159,13 +1182,6 @@ fn fingerprint(
     let base = now as i64;
     let horizon = now + 1;
     let uops_per_iter = s.slot_of_uop.len();
-    fp.push((next.0 - retired) as i64);
-    fp.push(next.1 as i64);
-    fp.extend(s.cursors.iter().map(|&c| c as i64));
-    for p in 0..np {
-        fp.push(s.port_free_at[p].max(horizon) as i64 - base);
-        fp.push(s.qlen[p] as i64);
-    }
     for it in retired - 1..=next.0 {
         steady::push_issue_row(fp, &s.issue_at[it * n..(it + 1) * n], now, |t| {
             t + wmax <= horizon

@@ -11,9 +11,11 @@
 //!
 //! This module owns the parts that do not depend on the simulator:
 //!
-//! * [`SteadyState`] — the fingerprint buffer, a ring of the last
-//!   [`SAMPLE_WINDOW`] samples, the total [`SAMPLE_BUDGET`], and the
-//!   hash-then-exact match that yields a [`Period`];
+//! * [`SteadyState`] — the fingerprint buffers, a ring of the last
+//!   [`SAMPLE_WINDOW`] samples, the per-run sample budget (by default
+//!   [`SAMPLE_BUDGET`]), and the hash-then-exact match that yields a
+//!   [`Period`] — on the whole state, or on a cheap key first and the
+//!   rest of the state only once the key repeats;
 //! * [`Period::extrapolate`] — the closed-form value of any per-iteration
 //!   series (retire cycle, issued-µop count) at an iteration the
 //!   simulation has not reached;
@@ -21,7 +23,8 @@
 //!   clamped once every read of it would see the value as available.
 //!
 //! Each simulator writes its own state into [`SteadyState::begin`]'s
-//! buffer, quotiented by future-equivalence (coordinates that can no
+//! buffer (and, for a split fingerprint, a closure that writes the rest),
+//! quotiented by future-equivalence (coordinates that can no
 //! longer influence a later cycle are clamped to their class), and decides
 //! for itself how to use a period: close the run in closed form, shift its
 //! state forward a whole number of periods, or keep simulating.
@@ -133,18 +136,31 @@ impl Period {
 
 #[derive(Debug)]
 struct Sample {
-    hash: u64,
+    key_hash: u64,
+    key: Vec<i64>,
+    /// The rest of the state, when it was built for this sample.
+    rest: Option<Vec<i64>>,
     retired: usize,
     now: u64,
-    state: Vec<i64>,
 }
 
 /// Fingerprint sampling and matching for one simulation run; reusable
 /// across runs (sample buffers are recycled, so steady use allocates
 /// nothing).
+///
+/// A fingerprint comes in two parts: a *key* the simulator writes into
+/// [`begin`](Self::begin)'s buffer at every sample, and a *rest* that
+/// [`observe_split`](Self::observe_split) asks for only once the key has
+/// repeated. Two samples match when both parts are equal. A simulator
+/// whose full state is expensive to encode puts a cheap summary in the
+/// key, so samples whose summary never repeats cost only the summary; the
+/// price is one extra period before a match, since the first sample with
+/// a repeated key has no earlier rest to compare against.
+/// [`observe`](Self::observe) keys on the whole state.
 #[derive(Debug, Default)]
 pub struct SteadyState {
-    fp: Vec<i64>,
+    key: Vec<i64>,
+    rest: Vec<i64>,
     samples: VecDeque<Sample>,
     pool: Vec<Vec<i64>>,
     taken: usize,
@@ -157,9 +173,14 @@ impl SteadyState {
     /// record at most `budget` fingerprints.
     pub fn reset(&mut self, budget: usize) {
         for s in self.samples.drain(..) {
-            self.pool.push(s.state);
+            self.pool.extend(
+                [Some(s.key), s.rest]
+                    .into_iter()
+                    .flatten()
+                    .filter(|v| v.capacity() > 0),
+            );
         }
-        self.fp.clear();
+        self.key.clear();
         self.taken = 0;
         self.budget = budget;
         self.done = false;
@@ -180,15 +201,15 @@ impl SteadyState {
         self.taken
     }
 
-    /// The cleared fingerprint buffer, for the simulator to fill.
+    /// The cleared fingerprint (key) buffer, for the simulator to fill.
     pub fn begin(&mut self) -> &mut Vec<i64> {
-        self.fp.clear();
-        &mut self.fp
+        self.key.clear();
+        &mut self.key
     }
 
-    /// The fingerprint last written through [`begin`](Self::begin).
+    /// The fingerprint (key) last written through [`begin`](Self::begin).
     pub fn fingerprint(&self) -> &[i64] {
-        &self.fp
+        &self.key
     }
 
     /// Match the current fingerprint, taken with `retired` iterations
@@ -196,6 +217,28 @@ impl SteadyState {
     /// detection and returns the period; otherwise the fingerprint is
     /// recorded (or, once the budget is spent, detection ends).
     pub fn observe(&mut self, retired: usize, now: u64) -> Option<Period> {
+        self.observe_with(retired, now, true, |_| {})
+    }
+
+    /// [`observe`](Self::observe) for a two-part fingerprint: the key is
+    /// in [`begin`](Self::begin)'s buffer, and `rest` writes the remainder
+    /// of the state — called only when an earlier sample has the same key.
+    pub fn observe_split(
+        &mut self,
+        retired: usize,
+        now: u64,
+        rest: impl FnOnce(&mut Vec<i64>),
+    ) -> Option<Period> {
+        self.observe_with(retired, now, false, rest)
+    }
+
+    fn observe_with(
+        &mut self,
+        retired: usize,
+        now: u64,
+        eager: bool,
+        rest: impl FnOnce(&mut Vec<i64>),
+    ) -> Option<Period> {
         #[cfg(debug_assertions)]
         if let Some(last) = self.samples.back() {
             assert!(
@@ -205,20 +248,33 @@ impl SteadyState {
                 last.now
             );
         }
-        let hash = fingerprint_hash(&self.fp);
-        let prior = self
+        let key_hash = fingerprint_hash(&self.key);
+        let key = &self.key;
+        let seen = self
             .samples
             .iter()
-            .find(|s| s.hash == hash && s.state == self.fp)
-            .map(|s| (s.retired, s.now));
-        if let Some((p_retired, p_now)) = prior {
-            self.done = true;
-            return Some(Period {
-                retired: p_retired,
-                cycle: p_now,
-                iters: retired - p_retired,
-                cycles: now - p_now,
-            });
+            .any(|s| s.key_hash == key_hash && s.key == *key);
+        let built = seen || eager;
+        if built {
+            self.rest.clear();
+            rest(&mut self.rest);
+        }
+        if seen {
+            let (key, rest) = (&self.key, &self.rest);
+            let prior = self
+                .samples
+                .iter()
+                .find(|s| s.key_hash == key_hash && s.key == *key && s.rest.as_ref() == Some(rest))
+                .map(|s| (s.retired, s.now));
+            if let Some((p_retired, p_now)) = prior {
+                self.done = true;
+                return Some(Period {
+                    retired: p_retired,
+                    cycle: p_now,
+                    iters: retired - p_retired,
+                    cycles: now - p_now,
+                });
+            }
         }
         if self.taken >= self.budget {
             self.done = true;
@@ -227,19 +283,35 @@ impl SteadyState {
         self.taken += 1;
         if self.samples.len() == SAMPLE_WINDOW {
             let old = self.samples.pop_front().expect("ring is full");
-            self.pool.push(old.state);
+            self.pool.extend(
+                [Some(old.key), old.rest]
+                    .into_iter()
+                    .flatten()
+                    .filter(|v| v.capacity() > 0),
+            );
         }
-        let mut state = self.pool.pop().unwrap_or_default();
-        state.clear();
-        state.extend_from_slice(&self.fp);
+        let key = pooled_copy(&mut self.pool, &self.key);
+        let rest = built.then(|| pooled_copy(&mut self.pool, &self.rest));
         self.samples.push_back(Sample {
-            hash,
+            key_hash,
+            key,
+            rest,
             retired,
             now,
-            state,
         });
         None
     }
+}
+
+/// `src` in a buffer from `pool` (an empty `src` needs none).
+fn pooled_copy(pool: &mut Vec<Vec<i64>>, src: &[i64]) -> Vec<i64> {
+    if src.is_empty() {
+        return Vec::new();
+    }
+    let mut v = pool.pop().unwrap_or_default();
+    v.clear();
+    v.extend_from_slice(src);
+    v
 }
 
 /// FNV-1a over the fingerprint words in four interleaved lanes (so the
@@ -293,6 +365,35 @@ mod tests {
             assert_eq!(p.retire_cycle(&retire_cycle, k), 10 + 5 * (k as u64 - 1));
         }
         assert_eq!(p.extrapolate(&[7, 7, 7, 8, 9, 10], 9, 100), 207);
+    }
+
+    /// A split fingerprint builds the rest only for repeated keys, and
+    /// matches one period later than a whole-state fingerprint would.
+    #[test]
+    fn split_fingerprint_builds_the_rest_only_for_repeated_keys() {
+        let mut st = SteadyState::default();
+        st.reset(SAMPLE_BUDGET);
+        // Keys repeat every 2 samples from the start; the rest repeats
+        // every 2 samples only from the third sample on.
+        let keys = [1, 2, 1, 2, 1, 2, 1];
+        let rests = [7, 8, 9, 10, 9, 10, 9];
+        let mut built = Vec::new();
+        let mut period = None;
+        for (i, (&key, &rest)) in keys.iter().zip(&rests).enumerate() {
+            st.begin().push(key);
+            period = st.observe_split(i + 1, 10 * (i as u64 + 1), |fp| {
+                built.push(i + 1);
+                fp.push(rest);
+            });
+            if period.is_some() {
+                break;
+            }
+        }
+        // Samples 1 and 2 have new keys: no rest built. Sample 3 repeats
+        // sample 1's key but sample 1 has no rest; sample 5 matches 3.
+        assert_eq!(built, [3, 4, 5]);
+        let p = period.expect("periodic from the third sample");
+        assert_eq!((p.retired, p.iters, p.cycles), (3, 2, 20));
     }
 
     #[test]
