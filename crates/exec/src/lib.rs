@@ -321,7 +321,7 @@ pub fn simulate(machine: &Machine, kernel: &Kernel, cfg: SimConfig) -> SimResult
 
 /// [`simulate`] from the kernel's descriptors, already looked up by the
 /// caller (`descs` must equal `machine.describe_kernel(kernel)`).
-pub fn simulate_described(
+fn simulate_described(
     machine: &Machine,
     kernel: &Kernel,
     descs: &[InstrDesc],

@@ -210,7 +210,7 @@ pub fn analyze_with(machine: &Machine, kernel: &Kernel, opts: Options) -> Analys
 
 /// [`analyze_with`] from the kernel's descriptors, already looked up by
 /// the caller (`descs` must equal `machine.describe_kernel(kernel)`).
-pub fn analyze_described(
+fn analyze_described(
     machine: &Machine,
     kernel: &Kernel,
     descs: &[InstrDesc],

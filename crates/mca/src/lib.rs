@@ -104,7 +104,7 @@ pub fn predict(machine: &Machine, kernel: &Kernel) -> McaResult {
 
 /// [`predict`] from the kernel's descriptors, already looked up by the
 /// caller (`descs` must equal `machine.describe_kernel(kernel)`).
-pub fn predict_described(machine: &Machine, kernel: &Kernel, descs: &[InstrDesc]) -> McaResult {
+fn predict_described(machine: &Machine, kernel: &Kernel, descs: &[InstrDesc]) -> McaResult {
     use std::cell::RefCell;
     let n = kernel.instructions.len();
     if n == 0 {

@@ -12,7 +12,7 @@
 //! This module owns the parts that do not depend on the simulator:
 //!
 //! * [`SteadyState`] — the fingerprint buffers, a ring of the last
-//!   [`SAMPLE_WINDOW`] samples, the per-run sample budget (by default
+//!   `SAMPLE_WINDOW` samples, the per-run sample budget (by default
 //!   [`SAMPLE_BUDGET`]), and the hash-then-exact match that yields a
 //!   [`Period`] — on the whole state, or on a cheap key first and the
 //!   rest of the state only once the key repeats;
@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 /// Samples kept live, as a ring: once the schedule is periodic the
 /// matching sample is at most one period old, and pre-steady samples
 /// (taken while the machine is still filling) rotate out harmlessly.
-pub const SAMPLE_WINDOW: usize = 64;
+const SAMPLE_WINDOW: usize = 64;
 
 /// Default total of fingerprints recorded before giving up on
 /// steady-state detection — a backstop so aperiodic schedules stop paying
@@ -55,11 +55,11 @@ pub const NOT_ISSUED: u64 = u64::MAX;
 /// collides with the per-value words ([`FP_NOT_ISSUED`], [`FP_MATURE`],
 /// or `t - now ≤ 0`), so the variable-width encoding is uniquely
 /// decodable.
-pub const FP_ROW_MATURE: i64 = i64::MAX;
+const FP_ROW_MATURE: i64 = i64::MAX;
 /// A fingerprint word for a single matured issue time.
-pub const FP_MATURE: i64 = i64::MAX - 1;
+const FP_MATURE: i64 = i64::MAX - 1;
 /// A fingerprint word for an issue-time row with no issues yet.
-pub const FP_ROW_EMPTY: i64 = i64::MAX - 2;
+const FP_ROW_EMPTY: i64 = i64::MAX - 2;
 /// A fingerprint word for a single value that has not issued yet.
 pub const FP_NOT_ISSUED: i64 = i64::MIN;
 
