@@ -176,7 +176,7 @@ pub(crate) fn simulate(
     // Owned for the run so the fingerprint can borrow the rest of the
     // arena; handed back (with its recycled buffers) at the end.
     let mut steady = std::mem::take(&mut s.steady);
-    steady.reset(steady::SAMPLE_BUDGET);
+    steady.reset();
 
     let sum_uops: u64 = descs.iter().map(|d| d.uop_count() as u64).sum();
     // Heaviest dependence-edge weight: once an issue time is this far in

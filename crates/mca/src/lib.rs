@@ -778,7 +778,7 @@ fn fast_simulate(
     // Owned for the run so the fingerprint can borrow the rest of the
     // arena; handed back (with its recycled buffers) at the end.
     let mut steady = std::mem::take(&mut s.steady);
-    steady.reset(steady::SAMPLE_BUDGET);
+    steady.reset();
     if blocking {
         steady.stop();
     }

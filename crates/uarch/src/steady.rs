@@ -12,10 +12,10 @@
 //! This module owns the parts that do not depend on the simulator:
 //!
 //! * [`SteadyState`] — the fingerprint buffers, a ring of the last
-//!   `SAMPLE_WINDOW` samples, the per-run sample budget (by default
-//!   [`SAMPLE_BUDGET`]), and the hash-then-exact match that yields a
-//!   [`Period`] — on the whole state, or on a cheap key first and the
-//!   rest of the state only once the key repeats;
+//!   `SAMPLE_WINDOW` samples, the `SAMPLE_BUDGET` per run, and the
+//!   hash-then-exact match that yields a [`Period`] — on the whole state,
+//!   or on a cheap key first and the rest of the state only once the key
+//!   repeats;
 //! * [`Period::extrapolate`] — the closed-form value of any per-iteration
 //!   series (retire cycle, issued-µop count) at an iteration the
 //!   simulation has not reached;
@@ -41,11 +41,10 @@ use std::collections::VecDeque;
 /// (taken while the machine is still filling) rotate out harmlessly.
 const SAMPLE_WINDOW: usize = 64;
 
-/// Default total of fingerprints recorded before giving up on
+/// Total fingerprints recorded in one run before giving up on
 /// steady-state detection — a backstop so aperiodic schedules stop paying
-/// for sampling. A simulator whose samples cost more than its cycles pass
-/// a smaller budget to [`SteadyState::reset`].
-pub const SAMPLE_BUDGET: usize = 768;
+/// for sampling.
+const SAMPLE_BUDGET: usize = 768;
 
 /// "Not issued yet" in an issue-time row.
 pub const NOT_ISSUED: u64 = u64::MAX;
@@ -164,25 +163,17 @@ pub struct SteadyState {
     samples: VecDeque<Sample>,
     pool: Vec<Vec<i64>>,
     taken: usize,
-    budget: usize,
     done: bool,
 }
 
 impl SteadyState {
-    /// Forget every sample and re-arm detection for a new run that may
-    /// record at most `budget` fingerprints.
-    pub fn reset(&mut self, budget: usize) {
+    /// Forget every sample and re-arm detection for a new run.
+    pub fn reset(&mut self) {
         for s in self.samples.drain(..) {
-            self.pool.extend(
-                [Some(s.key), s.rest]
-                    .into_iter()
-                    .flatten()
-                    .filter(|v| v.capacity() > 0),
-            );
+            recycle(&mut self.pool, s);
         }
         self.key.clear();
         self.taken = 0;
-        self.budget = budget;
         self.done = false;
     }
 
@@ -276,19 +267,14 @@ impl SteadyState {
                 });
             }
         }
-        if self.taken >= self.budget {
+        if self.taken >= SAMPLE_BUDGET {
             self.done = true;
             return None;
         }
         self.taken += 1;
         if self.samples.len() == SAMPLE_WINDOW {
             let old = self.samples.pop_front().expect("ring is full");
-            self.pool.extend(
-                [Some(old.key), old.rest]
-                    .into_iter()
-                    .flatten()
-                    .filter(|v| v.capacity() > 0),
-            );
+            recycle(&mut self.pool, old);
         }
         let key = pooled_copy(&mut self.pool, &self.key);
         let rest = built.then(|| pooled_copy(&mut self.pool, &self.rest));
@@ -301,6 +287,12 @@ impl SteadyState {
         });
         None
     }
+}
+
+/// Return a dropped sample's buffers to `pool`.
+fn recycle(pool: &mut Vec<Vec<i64>>, s: Sample) {
+    pool.push(s.key);
+    pool.extend(s.rest.filter(|r| r.capacity() > 0));
 }
 
 /// `src` in a buffer from `pool` (an empty `src` needs none).
@@ -344,7 +336,6 @@ mod tests {
     #[test]
     fn finds_the_period_and_extrapolates_exactly() {
         let mut st = SteadyState::default();
-        st.reset(SAMPLE_BUDGET);
         let states: [&[i64]; 8] = [&[9], &[8], &[1, 2], &[3], &[4], &[1, 2], &[3], &[4]];
         let mut retire_cycle = Vec::new();
         let mut period = None;
@@ -372,7 +363,6 @@ mod tests {
     #[test]
     fn split_fingerprint_builds_the_rest_only_for_repeated_keys() {
         let mut st = SteadyState::default();
-        st.reset(SAMPLE_BUDGET);
         // Keys repeat every 2 samples from the start; the rest repeats
         // every 2 samples only from the third sample on.
         let keys = [1, 2, 1, 2, 1, 2, 1];
@@ -399,7 +389,6 @@ mod tests {
     #[test]
     fn ring_and_budget_bound_the_work() {
         let mut st = SteadyState::default();
-        st.reset(SAMPLE_BUDGET);
         for k in 1..=SAMPLE_BUDGET {
             st.begin().push(k as i64);
             assert_eq!(st.observe(k, k as u64), None);
@@ -413,7 +402,7 @@ mod tests {
         );
         assert!(!st.active(), "budget spent ends detection");
         // A reset re-arms detection for the next run.
-        st.reset(SAMPLE_BUDGET);
+        st.reset();
         assert!(st.active());
         assert_eq!(st.samples_taken(), 0);
     }
