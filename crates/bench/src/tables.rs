@@ -198,4 +198,13 @@ mod tests {
         assert!(s.contains("GCS") && s.contains("SPR") && s.contains("Genoa"));
         assert!(s.contains("NT stores"));
     }
+
+    #[test]
+    fn table1_is_identical_on_the_default_and_a_one_thread_pool() {
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        assert_eq!(super::render_table1(), one.install(super::render_table1));
+    }
 }

@@ -87,55 +87,62 @@ fn concurrent_clients_get_reports_byte_identical_to_analyze_json() {
                 .to_string()
         })
         .collect();
-    let server = ServerHandle::start(ServeOpts {
-        threads: 4,
-        queue: 64,
-        cache: 256,
-        ..ServeOpts::default()
-    })
-    .expect("server starts");
-    let addr = server.addr;
-    let clients = 4;
-    std::thread::scope(|s| {
-        for c in 0..clients {
-            let kernels = &kernels;
-            let golden = &golden;
-            s.spawn(move || {
-                // Each client shuffles the kernel order differently (a
-                // rotation) and tags requests with id = kernel index.
-                let order: Vec<usize> = (0..kernels.len())
-                    .map(|i| (i + c) % kernels.len())
-                    .collect();
-                let frames: Vec<String> = order
-                    .iter()
-                    .map(|&i| analyze_frame(i as u64, &kernels[i].0, &kernels[i].1, "spr", true))
-                    .collect();
-                for frame in roundtrip(addr, &frames, frames.len()) {
-                    let id = response_id(&frame) as usize;
-                    assert_eq!(error_kind(&frame), None, "unexpected failure: {frame}");
-                    let report = proto::extract_report(&frame).expect("ok response has a report");
-                    assert_eq!(report, golden[id], "kernel {id} bytes must match");
-                }
-            });
-        }
-    });
-    let summary = server.shutdown().expect("graceful drain");
-    assert_eq!(summary.analyze, (clients * kernels.len()) as u64);
-    assert_eq!(summary.ok, summary.analyze);
-    assert_eq!(summary.errors, 0);
-    assert_eq!(summary.overloaded, 0);
-    // Every request either replayed from the cache or looked like a
-    // miss (coalesced requests are misses that then shared an in-flight
-    // computation) — and the 4x duplication guarantees sharing.
-    assert_eq!(
-        summary.response_hits + summary.response_misses,
-        summary.analyze
-    );
-    assert!(summary.coalesced <= summary.response_misses);
-    assert!(
-        summary.response_hits + summary.coalesced > 0,
-        "duplicate kernels across clients must share work: {summary:?}"
-    );
+    // 64 clients are far more than the 4 workers; the queue holds every
+    // request, so no client is ever answered `overloaded`.
+    for clients in [4, 64] {
+        let server = ServerHandle::start(ServeOpts {
+            threads: 4,
+            queue: clients * kernels.len(),
+            cache: 256,
+            ..ServeOpts::default()
+        })
+        .expect("server starts");
+        let addr = server.addr;
+        std::thread::scope(|s| {
+            for c in 0..clients {
+                let kernels = &kernels;
+                let golden = &golden;
+                s.spawn(move || {
+                    // Each client shuffles the kernel order differently (a
+                    // rotation) and tags requests with id = kernel index.
+                    let order: Vec<usize> = (0..kernels.len())
+                        .map(|i| (i + c) % kernels.len())
+                        .collect();
+                    let frames: Vec<String> = order
+                        .iter()
+                        .map(|&i| {
+                            analyze_frame(i as u64, &kernels[i].0, &kernels[i].1, "spr", true)
+                        })
+                        .collect();
+                    for frame in roundtrip(addr, &frames, frames.len()) {
+                        let id = response_id(&frame) as usize;
+                        assert_eq!(error_kind(&frame), None, "unexpected failure: {frame}");
+                        let report =
+                            proto::extract_report(&frame).expect("ok response has a report");
+                        assert_eq!(report, golden[id], "kernel {id} bytes must match");
+                    }
+                });
+            }
+        });
+        let summary = server.shutdown().expect("graceful drain");
+        assert_eq!(summary.analyze, (clients * kernels.len()) as u64);
+        assert_eq!(summary.ok, summary.analyze);
+        assert_eq!(summary.errors, 0);
+        assert_eq!(summary.overloaded, 0);
+        // Every request either replayed from the cache or looked like a
+        // miss (coalesced requests are misses that then shared an
+        // in-flight computation) — and the duplication across clients
+        // guarantees sharing.
+        assert_eq!(
+            summary.response_hits + summary.response_misses,
+            summary.analyze
+        );
+        assert!(summary.coalesced <= summary.response_misses);
+        assert!(
+            summary.response_hits + summary.coalesced > 0,
+            "{clients} clients: duplicate kernels must share work: {summary:?}"
+        );
+    }
 }
 
 #[test]

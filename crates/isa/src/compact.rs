@@ -16,7 +16,7 @@
 //! A [`ParseArena`] owns the arenas and is reused across kernels: `clear()`
 //! keeps capacity and the interner, so re-parsing previously seen text
 //! performs **zero** heap allocations on the steady path (the
-//! `pipeline_core` bench asserts exactly this with a counting allocator).
+//! `parse_alloc_audit` test asserts exactly this with a counting allocator).
 //!
 //! The parser here is a line-for-line port of the legacy dialect parsers in
 //! [`crate::parse`], including error messages and loop detection, and the

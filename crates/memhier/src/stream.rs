@@ -21,7 +21,7 @@
 //! bit-identical to the per-access path.
 //!
 //! The per-access path is retained behind [`StreamConfig::reference`]
-//! as the oracle; `tests/memhier_equivalence.rs` and `bench::membench`
+//! as the oracle; `tests/memhier_equivalence.rs` and `bench::ratios`
 //! assert bit-equality on every run.
 
 use crate::cache::{Access, Cache, CacheStats, Line};

@@ -7,7 +7,7 @@
 //! here **once per call**, gated on [`enabled`]; the disabled path is a
 //! single `AtomicBool` load, so instrumented code is byte- and
 //! timing-identical (within noise) to uninstrumented code unless a
-//! profile was requested. `bench::obsbench` asserts both properties on
+//! profile was requested. `bench::ratios` asserts both properties on
 //! the full corpus.
 //!
 //! The recorder is thread-aware without depending on any thread pool:

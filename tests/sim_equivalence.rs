@@ -74,8 +74,8 @@ fn corpus_mca_agrees_everywhere() {
 /// Every corpus variant on every machine, with a reduced iteration count
 /// so the naive engine stays affordable in debug builds. The full-length
 /// default config is covered per-machine by `default_config_subset` below
-/// and corpus-wide by the `sim_core` bench (which asserts equivalence on
-/// all 416 blocks at `SimConfig::default()`).
+/// and corpus-wide by the `oracle_ratios` bench (which asserts equivalence
+/// on all 416 blocks at `SimConfig::default()`).
 #[test]
 fn corpus_engines_agree_everywhere() {
     let cfg = exec::SimConfig {
