@@ -314,21 +314,6 @@ pub enum Command {
     Help,
 }
 
-/// Resolve a machine name (`gcs`/`grace`, `spr`/`sapphirerapids`,
-/// `genoa`/`zen4`, plus the µarch names) to its family tag. Retained for
-/// library callers that want the coarse family; the CLI itself resolves
-/// names through [`resolve_model_id`], which also accepts registry ids.
-pub fn parse_arch(name: &str) -> Result<uarch::Arch, Error> {
-    match resolve_model_id(name)? {
-        "neoverse-v2" => Ok(uarch::Arch::NeoverseV2),
-        "golden-cove" => Ok(uarch::Arch::GoldenCove),
-        "zen4" => Ok(uarch::Arch::Zen4),
-        other => Err(Error::usage(format!(
-            "`{other}` is a registry model, not one of the three machine families"
-        ))),
-    }
-}
-
 /// Resolve a machine name to its stable registry id: the family aliases
 /// the CLI has always taken (`gcs`/`grace`, `spr`/`sapphire-rapids`,
 /// `genoa`/`zen-4`, the µarch names) plus every id in
@@ -777,15 +762,6 @@ pub fn run_storebench(machines: &[uarch::Machine], nt: bool, json: bool) -> Stri
         }
     }
     s
-}
-
-/// Machine model for an arch tag.
-pub fn machine_for(arch: uarch::Arch) -> uarch::Machine {
-    match arch {
-        uarch::Arch::NeoverseV2 => uarch::Machine::neoverse_v2(),
-        uarch::Arch::GoldenCove => uarch::Machine::golden_cove(),
-        uarch::Arch::Zen4 => uarch::Machine::zen4(),
-    }
 }
 
 /// Schema version of the `machines --json` registry listing.
@@ -1679,13 +1655,15 @@ mod tests {
         assert_eq!(e.kind(), ErrorKind::Usage);
     }
 
+    /// `--arch` family aliases resolve to registry ids, case-insensitively;
+    /// an unknown name is an error.
     #[test]
     fn parse_arch_aliases() {
-        assert_eq!(parse_arch("grace").unwrap(), uarch::Arch::NeoverseV2);
-        assert_eq!(parse_arch("GCS").unwrap(), uarch::Arch::NeoverseV2);
-        assert_eq!(parse_arch("zen4").unwrap(), uarch::Arch::Zen4);
-        assert_eq!(parse_arch("golden-cove").unwrap(), uarch::Arch::GoldenCove);
-        assert!(parse_arch("m1").is_err());
+        assert_eq!(resolve_model_id("grace").unwrap(), "neoverse-v2");
+        assert_eq!(resolve_model_id("GCS").unwrap(), "neoverse-v2");
+        assert_eq!(resolve_model_id("zen4").unwrap(), "zen4");
+        assert_eq!(resolve_model_id("golden-cove").unwrap(), "golden-cove");
+        assert!(resolve_model_id("m1").is_err());
     }
 
     #[test]
@@ -1844,7 +1822,7 @@ mod tests {
 
     #[test]
     fn run_analyze_produces_report_with_extras() {
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let asm = ".L1:\n vaddpd %zmm0, %zmm1, %zmm2\n subq $1, %rax\n jne .L1\n";
         let flags = AnalyzeFlags {
             mca: true,
@@ -1863,7 +1841,7 @@ mod tests {
 
     #[test]
     fn analyze_json_shares_the_batch_schema() {
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let asm = ".L1:\n vaddpd %zmm0, %zmm1, %zmm2\n subq $1, %rax\n jne .L1\n";
         let flags = AnalyzeFlags {
             mca: true,
@@ -1948,7 +1926,7 @@ mod tests {
     fn storebench_text_format_is_stable() {
         // The single-machine text table is the original `--arch` output:
         // no per-machine header, same filter, same row format.
-        let out = run_storebench(&[machine_for(uarch::Arch::GoldenCove)], false, false);
+        let out = run_storebench(&[uarch::Machine::golden_cove()], false, false);
         let mut lines = out.lines();
         assert_eq!(lines.next(), Some("cores  traffic/stored"));
         let first = lines.next().unwrap();
@@ -2043,7 +2021,7 @@ mod tests {
 
     #[test]
     fn run_analyze_rejects_bad_asm() {
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let e = run_analyze(&m, "movq %bogus, %rax", AnalyzeFlags::default()).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::Parse);
     }
@@ -2131,7 +2109,7 @@ mod tests {
         }
         // A machine file whose tables lost an opcode class its corpus
         // needs (the FMA entries) is rejected with an M008 error.
-        let mut m = machine_for(uarch::Arch::GoldenCove);
+        let mut m = uarch::Machine::golden_cove();
         m.table
             .retain(|e| !e.mnemonics.iter().any(|mn| mn.starts_with("vfmadd")));
         let targets = admission_targets(Vec::new(), &[("gutted.json".to_string(), m)]);
@@ -2142,7 +2120,7 @@ mod tests {
         assert!(out.contains("== admission:gutted.json =="), "{out}");
         // A selection restricts the gate to the named machines, labelled
         // by registry id.
-        let targets = admission_targets(vec![machine_for(uarch::Arch::Zen4)], &[]);
+        let targets = admission_targets(vec![uarch::Machine::zen4()], &[]);
         assert_eq!(targets.len(), 1);
         assert_eq!(targets[0].name(), "admission:zen4");
     }
@@ -2177,7 +2155,7 @@ mod tests {
     #[test]
     fn deny_and_allow_override_severities() {
         // Mixed SSE/AVX fires K004 as a warning: relaxed runs pass.
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let asm = ".L1:\n addps %xmm0, %xmm1\n vaddpd %ymm2, %ymm3, %ymm4\n \
                    vmovupd %ymm4, (%rdi)\n movups %xmm1, 32(%rdi)\n \
                    subq $1, %rax\n jne .L1\n";
@@ -2214,7 +2192,7 @@ mod tests {
 
     #[test]
     fn baseline_suppresses_recorded_findings() {
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let asm = ".L1:\n addps %xmm0, %xmm1\n vaddpd %ymm2, %ymm3, %ymm4\n \
                    vmovupd %ymm4, (%rdi)\n movups %xmm1, 32(%rdi)\n \
                    subq $1, %rax\n jne .L1\n";
@@ -2336,7 +2314,7 @@ mod tests {
         assert!(out.contains("M007"), "{out}");
         // A machine file with a distorted private cache gets the warning,
         // and --strict turns it into a failing run.
-        let mut m = machine_for(uarch::Arch::GoldenCove);
+        let mut m = uarch::Machine::golden_cove();
         let idx = m.caches.iter().position(|c| !c.shared).unwrap();
         m.caches[idx].assoc = 8;
         let edited = m.to_json();
@@ -2363,9 +2341,9 @@ mod tests {
         let a64 = ".L1:\n ldr q0, [x1], #16\n fmla v2.2d, v0.2d, v1.2d\n \
                    subs x2, x2, #1\n b.ne .L1\n";
         for (machine, asm) in [
-            (machine_for(uarch::Arch::GoldenCove), x86),
-            (machine_for(uarch::Arch::Zen4), x86),
-            (machine_for(uarch::Arch::NeoverseV2), a64),
+            (uarch::Machine::golden_cove(), x86),
+            (uarch::Machine::zen4(), x86),
+            (uarch::Machine::neoverse_v2(), a64),
         ] {
             let t = LintTarget::Kernel {
                 label: "sample.s",
@@ -2380,7 +2358,7 @@ mod tests {
 
     #[test]
     fn lint_seeded_error_fixture_fails() {
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let t = LintTarget::Kernel {
             label: "bad.s",
             machine: &m,
@@ -2395,7 +2373,7 @@ mod tests {
     #[test]
     fn lint_strict_promotes_warnings_to_failures() {
         // Mixed SSE and AVX in one kernel fires K004 (a warning).
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let asm = ".L1:\n addps %xmm0, %xmm1\n vaddpd %ymm2, %ymm3, %ymm4\n \
                    vmovupd %ymm4, (%rdi)\n movups %xmm1, 32(%rdi)\n \
                    subq $1, %rax\n jne .L1\n";
@@ -2414,7 +2392,7 @@ mod tests {
 
     #[test]
     fn lint_machine_file_target_reports_bad_json() {
-        let good = machine_for(uarch::Arch::Zen4).to_json();
+        let good = uarch::Machine::zen4().to_json();
         let (out, code) = run_lint(
             &[LintTarget::MachineFile {
                 label: "m.json",
@@ -2534,7 +2512,7 @@ mod tests {
         }
         // Names match case-insensitively ignoring spaces and punctuation,
         // and unique substrings resolve ("schoenauer" → Schoenauer triad).
-        let m = machine_for(uarch::Arch::GoldenCove);
+        let m = uarch::Machine::golden_cove();
         let upper = run_explain(&m, "STREAM triad", SimOverrides::default()).unwrap();
         let lower = run_explain(&m, "streamtriad", SimOverrides::default()).unwrap();
         assert_eq!(upper, lower);

@@ -326,8 +326,8 @@ pub fn render_shutdown_ack(id: u64) -> String {
     format!("{{\"id\":{id},\"ok\":true,\"draining\":true}}\n")
 }
 
-/// Wrap an already-serialized metrics object (see
-/// [`crate::serve::Server`]) in the response envelope.
+/// Wrap an already-serialized metrics object (see [`crate::serve`]) in
+/// the response envelope.
 pub fn render_metrics(id: u64, metrics_json: &str) -> String {
     format!("{{\"id\":{id},\"ok\":true,\"metrics\":{metrics_json}}}\n")
 }

@@ -13,7 +13,7 @@
 //! ## Telemetry
 //!
 //! All serving statistics live in one [`obs::registry::Registry`]
-//! ([`Telemetry`]): counters and gauges are updated lock-free on the
+//! (`Telemetry`): counters and gauges are updated lock-free on the
 //! hot path, and every `metrics` response, Prometheus scrape, and exit
 //! summary is rendered from a single **consistent snapshot**, so
 //! cross-counter accounting invariants (`requests >= analyze >=

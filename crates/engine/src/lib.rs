@@ -18,9 +18,9 @@
 //! preserves submission order, the cache counters are
 //! scheduling-independent, and the report carries no run-environment
 //! fields — so the serialized report is byte-identical for any `threads`
-//! setting. The single carve-out is the trailing
-//! [`RunTimings`](report::RunTimings) block (wall-clock observations,
-//! fed by [`Predictor::predict_timed`](uarch::Predictor::predict_timed)):
+//! setting. The single carve-out is the trailing [`RunTimings`] block
+//! (wall-clock observations, fed by
+//! [`Predictor::predict_timed`](uarch::Predictor::predict_timed)):
 //! consumers comparing reports zero it out first, which is exactly what
 //! the determinism test does.
 

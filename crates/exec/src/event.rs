@@ -16,7 +16,7 @@
 //!    any earlier (a failed same-cycle arbitration retry is covered by
 //!    the `now + 1` floor on every candidate).
 //! 2. **Wake-up queue.** Every pending window entry carries a *lower
-//!    bound* on its next possible issue cycle ([`InFlight::earliest`]),
+//!    bound* on its next possible issue cycle (`InFlight::earliest`),
 //!    derived only from monotone quantities — recorded producer issue
 //!    times, unissued producers' own bounds (producers are older, so
 //!    their bound is final when the consumer is examined), and the busy
@@ -53,7 +53,7 @@
 //! 4. **Scratch arena.** Every buffer lives in [`SimScratch`]: the issue
 //!    matrix is one flat `Vec<u64>`, dependence edges are a CSR built
 //!    with a counting sort, and per-instance µ-op state is a 64-bit mask
-//!    in [`InFlight`] instead of a heap `Vec` — the untraced path does no
+//!    in `InFlight` instead of a heap `Vec` — the untraced path does no
 //!    per-instruction allocation at all. Back-to-back `simulate()` calls
 //!    reuse everything.
 

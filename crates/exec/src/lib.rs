@@ -36,8 +36,8 @@
 //!   **exactly** (the schedule is periodic, so this is arithmetic, not
 //!   approximation). All per-run buffers live in a reusable [`SimScratch`]
 //!   arena so back-to-back calls allocate ~nothing.
-//! * [`reference`] — the original tick-by-tick loop, retained verbatim as
-//!   the equivalence oracle. Select it with
+//! * [`reference`](mod@reference) — the original tick-by-tick loop,
+//!   retained verbatim as the equivalence oracle. Select it with
 //!   [`SimConfig::reference`]` = true`.
 //!
 //! Both paths produce bit-identical [`SimResult`]s on every corpus kernel;
@@ -74,7 +74,7 @@ pub struct SimConfig {
     /// Iterations run before measurement starts, to reach steady state.
     pub warmup: usize,
     /// Enable documented silicon behaviours that the analytical in-core
-    /// model deliberately ignores (see [`apply_quirks`]). These reproduce
+    /// model deliberately ignores (see `apply_quirks`). These reproduce
     /// the paper's known model-vs-measurement outliers in Fig. 3.
     pub quirks: bool,
     /// Let the event-driven engine stop as soon as the per-iteration issue

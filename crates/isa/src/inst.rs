@@ -114,7 +114,17 @@ impl Instruction {
 
     /// Whether this is a control-flow instruction.
     pub fn is_branch(&self) -> bool {
-        mnemonic_is_branch(&self.mnemonic, self.isa)
+        let m = self.base_mnemonic();
+        match self.isa {
+            Isa::X86 => {
+                matches!(m, "jmp" | "call" | "ret" | "jcxz" | "jecxz" | "jrcxz")
+                    || (m.starts_with('j') && m.len() <= 4)
+            }
+            Isa::AArch64 => matches!(
+                m,
+                "b" | "bl" | "br" | "blr" | "ret" | "cbz" | "cbnz" | "tbz" | "tbnz"
+            ),
+        }
     }
 
     /// Whether this is a conditional branch (reads flags or a register).
@@ -359,25 +369,6 @@ impl Instruction {
                 || self.mnemonic.starts_with("mov"))
             && self.operands.iter().filter(|o| o.is_mem()).count() == 1
             && !self.is_rmw()
-    }
-}
-
-/// Branch test on a bare (already-lowercased) mnemonic string. Shared by
-/// [`Instruction::is_branch`] and the compact parse path's loop detection,
-/// which has only interned symbols and no `Instruction` to call through.
-pub(crate) fn mnemonic_is_branch(m: &str, isa: Isa) -> bool {
-    match isa {
-        Isa::X86 => {
-            matches!(m, "jmp" | "call" | "ret" | "jcxz" | "jecxz" | "jrcxz")
-                || (m.starts_with('j') && m.len() <= 4)
-        }
-        Isa::AArch64 => {
-            let b = m.split('.').next().unwrap_or(m);
-            matches!(
-                b,
-                "b" | "bl" | "br" | "blr" | "ret" | "cbz" | "cbnz" | "tbz" | "tbnz"
-            )
-        }
     }
 }
 

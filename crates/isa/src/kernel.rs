@@ -46,37 +46,17 @@ impl Kernel {
 /// If the listing contains OSACA/IACA-style markers — comment lines
 /// containing `OSACA-BEGIN` and `OSACA-END` (or `IACA START`/`IACA END`) —
 /// only the marked region is analyzed, exactly like OSACA's marker
-/// workflow. Otherwise the innermost loop is auto-detected: find the *last*
-/// backward branch whose target label appears earlier; the kernel is the
-/// instructions from that label to the branch (inclusive).
+/// workflow. Otherwise the innermost loop is auto-detected: of the
+/// backward branches whose target label appears earlier, the one with the
+/// shortest body wins (ties go to the later branch); the kernel is the
+/// instructions from that label to the branch (inclusive). Without a loop
+/// the whole listing is one straight-line block.
 ///
-/// Internally this runs the interned compact parse path
-/// ([`crate::compact::ParseArena`]) through a reused thread-local arena and
-/// expands the result; output is pinned identical to
-/// [`parse_kernel_reference`] by the equivalence suite.
+/// Each line goes through its ISA's dialect parser in [`crate::parse`];
+/// x86 listings are checked once for Intel syntax. A [`ParseError`]
+/// carries the 1-based line number within the analyzed text, i.e. within
+/// the marked region when markers are present.
 pub fn parse_kernel(asm: &str, isa: Isa) -> Result<Kernel, ParseError> {
-    use std::cell::RefCell;
-    thread_local! {
-        static ARENA: RefCell<crate::compact::ParseArena> =
-            RefCell::new(crate::compact::ParseArena::new());
-    }
-    // Long-lived processes (servers) feed the arena arbitrary text; cap the
-    // interner so a hostile or endless corpus cannot grow it unboundedly.
-    const MAX_INTERNED: usize = 1 << 20;
-    ARENA.with(|cell| {
-        let mut arena = cell.borrow_mut();
-        if arena.interned_strings() > MAX_INTERNED {
-            *arena = crate::compact::ParseArena::new();
-        }
-        let compact = arena.parse(asm, isa)?;
-        Ok(arena.expand(&compact))
-    })
-}
-
-/// The original (pre-interning) parse path, kept verbatim as the oracle the
-/// compact path is tested against. Allocates per line and per operand;
-/// prefer [`parse_kernel`].
-pub fn parse_kernel_reference(asm: &str, isa: Isa) -> Result<Kernel, ParseError> {
     if let Some(region) = marked_region(asm) {
         return parse_kernel_unmarked(&region, isa);
     }

@@ -1,7 +1,11 @@
 //! Instruction-set layer: registers, operands, instructions, and assembly
 //! parsers for the two ISAs covered by the paper — x86-64 (AT&T syntax, as
 //! emitted by GCC/Clang/ICX) and AArch64 (as emitted by GCC/armclang),
-//! including SVE.
+//! including SVE. x86 listings may also be in Intel syntax.
+//!
+//! [`parse_kernel`] is the one entry point: it runs each line through its
+//! dialect's parser in [`parse`] and returns the [`Kernel`] that every
+//! predictor consumes.
 //!
 //! This crate is deliberately free of any microarchitectural knowledge: it
 //! answers *what* an instruction is (operands, dataflow, ISA extension,
@@ -28,21 +32,17 @@
 //! assert!(kernel.instructions[2].is_store());
 //! ```
 
-pub mod compact;
 pub mod dataflow;
 pub mod ext;
 pub mod inst;
-pub mod intern;
 pub mod kernel;
 pub mod operand;
 pub mod parse;
 pub mod reg;
 
-pub use compact::{CompactInst, CompactKernel, CompactOp, ParseArena};
 pub use ext::IsaExt;
 pub use inst::{Instruction, Isa};
-pub use intern::{Interner, Sym};
-pub use kernel::{parse_kernel, parse_kernel_reference, Kernel};
+pub use kernel::{parse_kernel, Kernel};
 pub use operand::{AddrMode, MemOperand, OpSig, Operand};
 pub use parse::ParseError;
 pub use reg::{RegClass, Register};

@@ -62,7 +62,7 @@ enum Parsed {
     RegList(Vec<crate::reg::Register>),
 }
 
-pub(crate) fn parse_shift_modifier(s: &str) -> Option<(&str, i64)> {
+fn parse_shift_modifier(s: &str) -> Option<(&str, i64)> {
     let s = s.trim();
     for kind in ["lsl", "lsr", "asr", "uxtw", "sxtw", "uxtx", "sxtx"] {
         if let Some(rest) = s.strip_prefix(kind) {
@@ -283,6 +283,16 @@ mod tests {
             i.operands.iter().filter(|o| o.as_reg().is_some()).count(),
             2
         );
+        // Range form: `{z0.d - z3.d}` names all four registers.
+        let i = p("ld1d {z0.d - z3.d}, p0/z, [x0]");
+        let regs: Vec<u8> = i
+            .operands
+            .iter()
+            .filter_map(|o| o.as_reg())
+            .filter(|r| r.class == RegClass::Vec)
+            .map(|r| r.index)
+            .collect();
+        assert_eq!(regs, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -308,6 +318,14 @@ mod tests {
     fn zero_register() {
         let i = p("mov x0, xzr");
         assert!(i.operands[1].as_reg().unwrap().is_zero_reg());
+    }
+
+    #[test]
+    fn malformed_operands_error() {
+        let e = parse_line_aarch64("ldr q0, [x0, #zz]", 5).unwrap_err();
+        assert_eq!(e.line, 5);
+        let e = parse_line_aarch64("ld1d {zq9.d}, p0/z, [x0]", 6).unwrap_err();
+        assert_eq!(e.line, 6);
     }
 
     #[test]

@@ -10,7 +10,6 @@ mod x86;
 mod x86_intel;
 
 pub use aarch64::parse_line_aarch64;
-pub(crate) use aarch64::parse_shift_modifier;
 pub use x86::parse_line_x86;
 pub use x86_intel::{looks_like_intel_x86, parse_line_x86_intel};
 
@@ -72,58 +71,23 @@ pub(crate) fn strip_comment<'a>(line: &'a str, markers: &[&str]) -> &'a str {
 /// Split an operand string on top-level commas (commas inside `()`, `[]`,
 /// or `{}` do not separate operands).
 pub(crate) fn split_operands(s: &str) -> Vec<&str> {
-    split_operands_iter(s).collect()
-}
-
-/// Allocation-free form of [`split_operands`]: yields the same trimmed,
-/// non-empty segments without building a `Vec`. This is what the compact
-/// parse path ([`crate::compact`]) uses on its steady state.
-pub(crate) fn split_operands_iter(s: &str) -> OperandSplit<'_> {
-    OperandSplit { rest: Some(s) }
-}
-
-/// Iterator over top-level comma-separated operand segments.
-#[derive(Clone)]
-pub(crate) struct OperandSplit<'a> {
-    rest: Option<&'a str>,
-}
-
-impl<'a> Iterator for OperandSplit<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        loop {
-            let s = self.rest?;
-            let mut depth = 0usize;
-            let mut split_at = None;
-            for (i, c) in s.char_indices() {
-                match c {
-                    '(' | '[' | '{' => depth += 1,
-                    ')' | ']' | '}' => depth = depth.saturating_sub(1),
-                    ',' if depth == 0 => {
-                        split_at = Some(i);
-                        break;
-                    }
-                    _ => {}
-                }
+    let mut parts = Vec::new();
+    let mut depth = 0usize;
+    let mut start = 0;
+    for (i, c) in s.char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth = depth.saturating_sub(1),
+            ',' if depth == 0 => {
+                parts.push(s[start..i].trim());
+                start = i + 1;
             }
-            let piece = match split_at {
-                Some(i) => {
-                    self.rest = Some(&s[i + 1..]);
-                    &s[..i]
-                }
-                None => {
-                    self.rest = None;
-                    s
-                }
-            };
-            let piece = piece.trim();
-            if !piece.is_empty() {
-                return Some(piece);
-            }
-            self.rest?;
+            _ => {}
         }
     }
+    parts.push(s[start..].trim());
+    parts.retain(|p| !p.is_empty());
+    parts
 }
 
 /// Case-insensitive ASCII substring search without allocating a lowercased

@@ -253,6 +253,8 @@ mod tests {
         // `)` before `(` used to slice out of range.
         assert!(parse_line_x86("movq )(%rax, %rbx", 1).is_err());
         assert!(parse_line_x86("movq 8(%rax, %rbx", 1).is_err());
+        let e = parse_line_x86("movq 8(%rax,%rbx,3), %rcx", 4).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (4, "bad scale"));
     }
 
     #[test]
@@ -260,5 +262,9 @@ mod tests {
         assert!(parse_line_x86("movq %bogus, %rax", 3).is_err());
         let e = parse_line_x86("movq %bogus, %rax", 3).unwrap_err();
         assert_eq!(e.line, 3);
+        // A bad immediate on a kernel's second line reports line 2.
+        let asm = "vaddpd %zmm0, %zmm1, %zmm2\nmovq $zz, %rax\n";
+        let e = crate::parse_kernel(asm, crate::Isa::X86).unwrap_err();
+        assert_eq!(e.line, 2);
     }
 }

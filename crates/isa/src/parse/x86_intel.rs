@@ -272,6 +272,11 @@ mod tests {
         assert!(looks_like_intel_x86("vmovupd zmm0, zmmword ptr [rax]\n"));
         assert!(!looks_like_intel_x86("addq %rax, %rbx\n"));
         assert!(!looks_like_intel_x86(""));
+        // Detected as Intel before the malformed operand is rejected.
+        let asm = "mov rax, ][rbx\n";
+        assert!(looks_like_intel_x86(asm));
+        let e = crate::parse_kernel(asm, crate::Isa::X86).unwrap_err();
+        assert_eq!(e.line, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   models encode them as ordinary instructions);
 //! * **full latencies everywhere** — address-writeback updates are
 //!   charged the full instruction latency, so pointer-bumping loops stall;
-//! * **small per-port reservation queues** ([`PORT_QUEUE`] entries) — a
+//! * **small per-port reservation queues** (`PORT_QUEUE` entries) — a
 //!   dependency chain parked in one queue backs up the in-order dispatch
 //!   stage, throttling independent work on other ports.
 //!
@@ -96,7 +96,7 @@ fn prediction(r: McaResult) -> uarch::Prediction {
 
 /// Predict the block throughput of a kernel (cycles per iteration).
 ///
-/// Runs the buffer-reusing fast simulation ([`fast_simulate`]); its result
+/// Runs the buffer-reusing fast simulation (`fast_simulate`); its result
 /// is pinned bit-identical to [`predict_reference`] by the test suite.
 pub fn predict(machine: &Machine, kernel: &Kernel) -> McaResult {
     predict_described(machine, kernel, &machine.describe_kernel(kernel))

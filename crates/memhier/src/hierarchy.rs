@@ -204,7 +204,7 @@ impl Hierarchy {
     }
 
     /// Non-temporal store: bypasses the hierarchy entirely through the
-    /// write-combining buffers; `residual_wa` ∈ [0,1] is the fraction of
+    /// write-combining buffers; `residual_wa` ∈ \[0,1\] is the fraction of
     /// lines whose WC buffer was evicted early and which therefore still
     /// perform a read-modify-write.
     ///

@@ -1,9 +1,6 @@
-//! Equivalence suite for the throughput pipeline: the worker count, the
-//! persistent result cache, and the interned parse path must all be
-//! *invisible* in the report bytes — they may only change how fast the
-//! answer arrives, never the answer.
-
-use proptest::prelude::*;
+//! Equivalence suite for the throughput pipeline: the worker count and the
+//! persistent result cache must both be *invisible* in the report bytes —
+//! they may only change how fast the answer arrives, never the answer.
 
 const ARCH: uarch::Arch = uarch::Arch::GoldenCove;
 const BLOCKS: usize = 10;
@@ -90,32 +87,4 @@ fn damaged_cache_entries_fall_back_to_recompute() {
     let healed = session(1).cache_dir(&dir).run().expect("healed runs");
     assert_eq!(normalized(&healed), normalized(&cold));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Interner round-trip: every string resolves back verbatim, ids are
-    /// dense and stable under re-interning, and distinct strings get
-    /// distinct ids.
-    #[test]
-    fn interner_round_trips(strings in proptest::collection::vec("[a-z0-9_.%#]{1,12}", 1..32)) {
-        let mut interner = isa::Interner::new();
-        let syms: Vec<isa::Sym> = strings.iter().map(|s| interner.intern(s)).collect();
-        for (s, sym) in strings.iter().zip(&syms) {
-            prop_assert_eq!(interner.resolve(*sym), s.as_str());
-            prop_assert_eq!(interner.get(s), Some(*sym));
-            // Re-interning allocates nothing new: the id is stable.
-            prop_assert_eq!(interner.intern(s), *sym);
-        }
-        let mut unique: Vec<&String> = strings.iter().collect();
-        unique.sort();
-        unique.dedup();
-        let mut ids: Vec<u32> = syms.iter().map(|s| s.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), unique.len(), "distinct strings <-> distinct ids");
-        // Ids are dense: 0..n in first-sight order.
-        prop_assert!(ids.iter().all(|&i| (i as usize) < unique.len()));
-    }
 }
