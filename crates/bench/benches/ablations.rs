@@ -26,31 +26,17 @@ fn ablation_port_assignment(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 ks.iter()
-                    .map(|k| {
-                        incore::analyze_with(
-                            &m,
-                            k,
-                            incore::Options {
-                                assignment: strat,
-                                frontend: true,
-                            },
-                        )
-                        .prediction
-                    })
+                    .map(|k| incore::analyze_with(&m, k, strat).prediction)
                     .sum::<f64>()
             })
         });
     }
     g.finish();
     // Report the prediction delta.
-    let opts = |a| incore::Options {
-        assignment: a,
-        frontend: true,
-    };
     let (mut worse, mut total) = (0usize, 0usize);
     for k in &ks {
-        let bal = incore::analyze_with(&m, k, opts(incore::PortAssignment::Balanced)).prediction;
-        let opt = incore::analyze_with(&m, k, opts(incore::PortAssignment::Optimal)).prediction;
+        let bal = incore::analyze_with(&m, k, incore::PortAssignment::Balanced).prediction;
+        let opt = incore::analyze_with(&m, k, incore::PortAssignment::Optimal).prediction;
         total += 1;
         if bal > opt + 1e-9 {
             worse += 1;

@@ -194,8 +194,7 @@ impl MachineSel {
     /// The single reference a one-machine resolution would use: a machine
     /// file wins over a registry model — the historical `--machine-file`
     /// override — and within a kind the last occurrence wins. The `serve`
-    /// submit path uses this to key its caches without building the
-    /// machine.
+    /// submit path uses this to resolve through its own memos.
     pub fn chosen(&self) -> Result<&MachineRef, Error> {
         let last_file = self
             .refs
@@ -864,15 +863,12 @@ pub fn run_analyze(
 ) -> Result<String, Error> {
     use std::fmt::Write;
     let kernel = isa::parse_kernel(asm, machine.isa)?;
-    let opts = incore::Options {
-        assignment: if flags.balanced {
-            incore::PortAssignment::Balanced
-        } else {
-            incore::PortAssignment::Optimal
-        },
-        frontend: true,
+    let assignment = if flags.balanced {
+        incore::PortAssignment::Balanced
+    } else {
+        incore::PortAssignment::Optimal
     };
-    let analysis = incore::analyze_with(machine, &kernel, opts);
+    let analysis = incore::analyze_with(machine, &kernel, assignment);
     let mut out = incore::Report::new(machine, &analysis).render();
     if flags.sim {
         let sim = exec::simulate(machine, &kernel, flags.sim_cfg.config()).cycles_per_iter;
@@ -895,6 +891,67 @@ pub fn run_analyze(
     Ok(out)
 }
 
+/// The predictors `analyze` runs for a set of [`AnalyzeFlags`]: the
+/// in-core model, MCA when asked, and the simulator as the reference
+/// when asked.
+pub(crate) struct AnalyzePredictors {
+    analytical: Vec<Box<dyn uarch::Predictor>>,
+    reference: Option<Box<dyn uarch::Predictor>>,
+}
+
+impl AnalyzePredictors {
+    pub(crate) fn new(flags: AnalyzeFlags) -> Self {
+        let model = if flags.balanced {
+            incore::InCoreModel::balanced()
+        } else {
+            incore::InCoreModel::new()
+        };
+        let mut analytical: Vec<Box<dyn uarch::Predictor>> = vec![Box::new(model)];
+        if flags.mca {
+            analytical.push(Box::new(mca::McaBaseline));
+        }
+        let config = flags.sim_cfg.config();
+        let reference = flags
+            .sim
+            .then(|| Box::new(exec::CoreSimulator { config }) as Box<dyn uarch::Predictor>);
+        AnalyzePredictors {
+            analytical,
+            reference,
+        }
+    }
+
+    fn analytical(&self) -> Vec<&dyn uarch::Predictor> {
+        self.analytical.iter().map(|b| b.as_ref()).collect()
+    }
+
+    /// The [`engine::Key`] of `asm` under these predictors.
+    pub(crate) fn key(&self, machine_fingerprint: u64, asm: String) -> engine::Key {
+        engine::Key {
+            machine: machine_fingerprint,
+            predictors: engine::Key::predictor_set(&self.analytical(), self.reference.as_deref()),
+            text: asm,
+        }
+    }
+
+    /// Wrap `record` in a one-record report with zeroed timings.
+    pub(crate) fn report(
+        &self,
+        machine: &uarch::Machine,
+        record: engine::RecordReport,
+    ) -> engine::BatchReport {
+        engine::BatchReport::from_records(
+            vec![machine.name.to_string()],
+            self.analytical
+                .iter()
+                .map(|p| p.name().to_string())
+                .collect(),
+            self.reference.as_ref().map(|r| r.name().to_string()),
+            vec![record],
+            engine::CacheStats::default(),
+        )
+    }
+}
+
 /// Evaluate one parsed kernel through the same [`engine::evaluate_block`]
 /// path as `validate` and wrap it in a one-record
 /// [`engine::BatchReport`] with **zeroed timings** — fully deterministic
@@ -908,39 +965,15 @@ pub fn analyze_report(
     kernel: &isa::Kernel,
     flags: AnalyzeFlags,
 ) -> (engine::BatchReport, engine::BlockTimings) {
-    let model: Box<dyn uarch::Predictor> = if flags.balanced {
-        Box::new(incore::InCoreModel::balanced())
-    } else {
-        Box::new(incore::InCoreModel::new())
+    let predictors = AnalyzePredictors::new(flags);
+    let labels = engine::BlockLabels {
+        kernel: label,
+        ..Default::default()
     };
-    let mut analytical: Vec<Box<dyn uarch::Predictor>> = vec![model];
-    if flags.mca {
-        analytical.push(Box::new(mca::McaBaseline));
-    }
-    let sim = exec::CoreSimulator {
-        config: flags.sim_cfg.config(),
-    };
-    let reference: Option<&dyn uarch::Predictor> = if flags.sim { Some(&sim) } else { None };
-    let refs: Vec<&dyn uarch::Predictor> = analytical.iter().map(|b| b.as_ref()).collect();
-    let (record, block_timings) = engine::evaluate_block_timed(
-        machine,
-        kernel,
-        engine::BlockLabels {
-            kernel: label,
-            compiler: "",
-            opt: "",
-        },
-        &refs,
-        reference,
-    );
-    let report = engine::BatchReport::from_records(
-        vec![machine.name.to_string()],
-        refs.iter().map(|p| p.name().to_string()).collect(),
-        reference.map(|r| r.name().to_string()),
-        vec![record],
-        engine::CacheStats::default(),
-    );
-    (report, block_timings)
+    let (analytical, reference) = (predictors.analytical(), predictors.reference.as_deref());
+    let (record, block_timings) =
+        engine::evaluate_block_timed(machine, kernel, labels, &analytical, reference);
+    (predictors.report(machine, record), block_timings)
 }
 
 /// The deterministic one-record JSON report for an assembly string: what
@@ -1102,7 +1135,7 @@ pub fn run_explain(
         }
     };
     let kernel = kernels::generate_kernel(variant, machine);
-    let analysis = incore::analyze_with(machine, &kernel, incore::Options::default());
+    let analysis = incore::analyze(machine, &kernel);
     let mca_pred = mca::predict(machine, &kernel);
     let sim_pred = exec::simulate(machine, &kernel, sim_cfg.config());
     let (mca_cy, sim_cy) = (mca_pred.cycles_per_iter, sim_pred.cycles_per_iter);
@@ -1644,10 +1677,7 @@ mod tests {
                 let cfg = flags.sim_cfg.config();
                 assert_eq!(cfg.iterations, 64);
                 assert_eq!(cfg.warmup, 8);
-                assert!(
-                    cfg.early_exit && cfg.quirks,
-                    "overrides must not disturb other defaults"
-                );
+                assert!(cfg.quirks, "overrides must not disturb other defaults");
             }
             other => panic!("{other:?}"),
         }

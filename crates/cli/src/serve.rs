@@ -57,22 +57,21 @@
 //! draining), the shard queues run dry, and `serve_on` returns a
 //! [`ServeSummary`]. No signals involved.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use engine::diskcache::fingerprint;
-
+use engine::KeyedMachine;
 use obs::journal::{Journal, Severity};
 use obs::registry::{CounterId, GaugeId, HistId, Registry};
 use obs::timeseries::{WindowedCounter, WindowedHistogram, WINDOWS};
 
 use crate::proto::{self, AnalyzeRequest, FrameReader, Request};
-use crate::{AnalyzeFlags, Error, ErrorKind, MachineRef, MachineSel};
+use crate::{AnalyzeFlags, AnalyzePredictors, Error, ErrorKind, MachineRef, MachineSel};
 
 /// Suggested client backoff on an `overloaded` rejection.
 const RETRY_AFTER_MS: u64 = 50;
@@ -165,49 +164,11 @@ impl ServeSummary {
     }
 }
 
-/// Identity of one analysis: kernel text, label, resolved machine, and
-/// predictor set. Two requests with equal keys have byte-identical
-/// responses, which is the licence for coalescing and caching.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    asm: String,
-    label: String,
-    machine: String,
-    flags: u8,
-}
-
-fn flag_bits(f: AnalyzeFlags) -> u8 {
-    (f.balanced as u8) | (f.mca as u8) << 1 | (f.sim as u8) << 2
-}
-
-impl Key {
-    fn shard(&self, shards: usize) -> usize {
-        let mut h = fingerprint(self.asm.as_bytes());
-        h ^= fingerprint(self.label.as_bytes()).rotate_left(17);
-        h ^= fingerprint(self.machine.as_bytes()).rotate_left(31);
-        h ^= self.flags as u64;
-        (h % shards as u64) as usize
-    }
-}
-
-/// How the worker obtains the machine (the resolution itself happened
-/// at submit time, so a bad name or unreadable file fails fast).
-#[derive(Debug, Clone)]
-enum MachineToken {
-    /// A validated registry id.
-    Model(String),
-    /// The full JSON of a machine file, content-hashed into the key
-    /// (imports go through the bounded machine cache).
-    File(String),
-}
-
-#[derive(Debug, Clone)]
-struct Payload {
-    label: String,
-    asm: String,
-    flags: AnalyzeFlags,
-    token: MachineToken,
-}
+/// Identity of one served analysis: the [`engine::Key`] plus the label,
+/// which the served report embeds. Two requests with equal keys have
+/// byte-identical responses, which is the licence for coalescing and
+/// caching.
+type ServeKey = (engine::Key, String);
 
 struct Waiter {
     id: u64,
@@ -222,7 +183,9 @@ struct Waiter {
 }
 
 struct Pending {
-    payload: Payload,
+    /// The machine submit resolved.
+    machine: Arc<KeyedMachine>,
+    flags: AnalyzeFlags,
     /// The leader's trace context: the worker computes under it, so the
     /// shared predictor spans belong to the first requester's tree.
     ctx: obs::TraceCtx,
@@ -230,13 +193,13 @@ struct Pending {
 }
 
 enum Job {
-    Run(Key),
+    Run(ServeKey),
     Stop,
 }
 
 struct Shard {
     tx: SyncSender<Job>,
-    inflight: Mutex<HashMap<Key, Pending>>,
+    inflight: Mutex<HashMap<ServeKey, Pending>>,
 }
 
 /// The serve counters, named once. Each variant maps to a registry slot
@@ -469,10 +432,10 @@ struct Shared {
     /// Bounded kernel/machine memo shared across requests.
     cache: engine::CorpusCache,
     /// Bounded response memo: key → report JSON (no trailing newline).
-    responses: Mutex<engine::Lru<Key, std::sync::Arc<String>>>,
-    /// Persistent response store (`--cache-dir`): the same report JSON
-    /// the in-memory LRU holds, surviving restarts. Probed by workers on
-    /// an LRU miss, so warm disk entries skip the whole evaluation.
+    responses: Mutex<engine::Lru<ServeKey, Arc<String>>>,
+    /// Persistent record store (`--cache-dir`), the same one `validate
+    /// --cache-dir` fills: records surviving restarts. Probed by workers
+    /// on an LRU miss, so warm disk entries skip the whole evaluation.
     disk: Option<engine::DiskCache>,
     telemetry: Telemetry,
     draining: AtomicBool,
@@ -689,16 +652,28 @@ impl Shared {
     }
 }
 
-/// Resolve the request's machine selection to a cache-key token. A
-/// machine file is read here (submit time) and content-hashed, so an
-/// edited file is a different key and a vanished file fails fast.
-fn machine_token(sel: &MachineSel) -> Result<(String, MachineToken), Error> {
+/// Resolve the request's machine at submit time, so a bad name or an
+/// unreadable file fails fast. A registry model is built on its first
+/// request and kept for the process's life; a machine file is read per
+/// request and imported through the bounded machine cache. Either way the
+/// fingerprint is computed once, on first use, never at server start.
+fn resolve_machine(shared: &Shared, sel: &MachineSel) -> Result<Arc<KeyedMachine>, Error> {
+    static MODELS: Mutex<BTreeMap<String, Arc<KeyedMachine>>> = Mutex::new(BTreeMap::new());
     match sel.chosen()? {
-        MachineRef::Model(id) => Ok((format!("model:{id}"), MachineToken::Model(id.clone()))),
+        MachineRef::Model(id) => {
+            let mut models = MODELS.lock().expect("model memo poisoned");
+            if let Some(m) = models.get(id) {
+                return Ok(m.clone());
+            }
+            let machine = uarch::registry::machine(id)
+                .ok_or_else(|| Error::usage(format!("unknown registry id `{id}`")))?;
+            let m = Arc::new(KeyedMachine::new(machine));
+            models.insert(id.clone(), m.clone());
+            Ok(m)
+        }
         MachineRef::File(path) => {
             let json = std::fs::read_to_string(path).map_err(|e| Error::io(path.as_str(), &e))?;
-            let key = format!("file:{:016x}", fingerprint(json.as_bytes()));
-            Ok((key, MachineToken::File(json)))
+            shared.cache.machine(&json)
         }
     }
 }
@@ -720,58 +695,38 @@ fn deliver(tx: &SyncSender<String>, frame: String) {
     }
 }
 
-/// Run one analysis: machine through the bounded machine cache, kernel
-/// through the bounded kernel cache, report through the same
-/// deterministic path as `analyze --json` (timings zeroed).
-fn compute(shared: &Shared, payload: &Payload) -> Result<String, Error> {
-    let machine = match &payload.token {
-        MachineToken::Model(id) => std::sync::Arc::new(
-            uarch::registry::machine(id)
-                .ok_or_else(|| Error::usage(format!("unknown registry id `{id}`")))?,
-        ),
-        MachineToken::File(json) => shared.cache.machine(json)?,
+/// Run one analysis: replay its record from the persistent store, or
+/// evaluate it (kernel through the bounded kernel cache) and store it.
+/// Either way the report takes the same deterministic path as `analyze
+/// --json` (timings zeroed).
+fn compute(
+    shared: &Shared,
+    (key, label): &ServeKey,
+    machine: &uarch::Machine,
+    flags: AnalyzeFlags,
+) -> Result<String, Error> {
+    let labels = engine::BlockLabels {
+        kernel: label,
+        ..Default::default()
     };
+    if let Some(record) = shared
+        .disk
+        .as_ref()
+        .and_then(|d| d.get(key, labels, machine.chip))
+    {
+        return Ok(AnalyzePredictors::new(flags)
+            .report(machine, record)
+            .to_json());
+    }
     let kernel = shared
         .cache
-        .kernel(&payload.asm, machine.isa)
-        .map_err(|e| e.with_context(payload.label.as_str()))?;
-    let (report, _timings) =
-        crate::analyze_report(&machine, &payload.label, &kernel, payload.flags);
-    Ok(report.to_json())
-}
-
-/// Tag versioning the persistent response entries. The stored payload is
-/// the report JSON verbatim, so its shape is pinned by the engine report
-/// schema — fold that version in, and stale entries from an older build
-/// become misses instead of wrong replays.
-fn response_codec() -> String {
-    format!(
-        "srv-resp1 s{}.{}",
-        engine::SCHEMA_VERSION,
-        engine::SCHEMA_MINOR
-    )
-}
-
-/// Replay a response from the persistent store, if configured and
-/// present. The key is the full analysis identity ([`Key`]): resolved
-/// machine token, label, predictor flag bits, and the assembly text.
-fn disk_get(shared: &Shared, key: &Key) -> Option<String> {
-    let disk = shared.disk.as_ref()?;
-    let codec = response_codec();
-    let flags = key.flags.to_string();
-    disk.get(&[&codec, &key.machine, &key.label, &flags, &key.asm])
-}
-
-/// Persist a computed response (no-op without `--cache-dir`).
-fn disk_put(shared: &Shared, key: &Key, report: &str) {
+        .kernel(&key.text, machine.isa)
+        .map_err(|e| e.with_context(label.as_str()))?;
+    let (report, _timings) = crate::analyze_report(machine, label, &kernel, flags);
     if let Some(disk) = &shared.disk {
-        let codec = response_codec();
-        let flags = key.flags.to_string();
-        disk.put(
-            &[&codec, &key.machine, &key.label, &flags, &key.asm],
-            report,
-        );
+        disk.put(key, &report.records[0]);
     }
+    Ok(report.to_json())
 }
 
 fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
@@ -785,11 +740,11 @@ fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
             .reg
             .gauge_sub(shared.telemetry.queue_depth, 1);
         let shard = &shared.shards[index];
-        let (payload, leader_ctx) = {
+        let (machine, flags, leader_ctx) = {
             let inflight = shard.inflight.lock().expect("inflight map poisoned");
             inflight
                 .get(&key)
-                .map(|p| (p.payload.clone(), p.ctx))
+                .map(|p| (p.machine.clone(), p.flags, p.ctx))
                 .expect("job enqueued under the inflight lock")
         };
         let start = Instant::now();
@@ -798,16 +753,7 @@ fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
             if shared.opts.throttle_ms > 0 {
                 std::thread::sleep(Duration::from_millis(shared.opts.throttle_ms));
             }
-            match disk_get(shared, &key) {
-                Some(report) => Ok(report),
-                None => {
-                    let computed = compute(shared, &payload);
-                    if let Ok(report) = &computed {
-                        disk_put(shared, &key, report);
-                    }
-                    computed
-                }
-            }
+            compute(shared, &key, &machine.machine, flags)
         };
         // Compute under the leader's trace context so the predictor
         // spans engine emits nest inside this request's span tree.
@@ -825,7 +771,7 @@ fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
                 Severity::Info,
                 "disk_stale_healed",
                 "stale persistent-cache entry recomputed and rewritten",
-                vec![("label".to_string(), key.label.clone())],
+                vec![("label".to_string(), key.1.clone())],
             );
         }
         if let Ok(report) = &result {
@@ -833,7 +779,7 @@ fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
                 .responses
                 .lock()
                 .expect("response cache poisoned")
-                .insert(key.clone(), std::sync::Arc::new(report.clone()));
+                .insert(key.clone(), Arc::new(report.clone()));
             if evicted > 0 {
                 shared.telemetry.bump(Ctr::ResponseEvictions, evicted);
                 shared.telemetry.event(
@@ -880,7 +826,7 @@ fn worker(shared: &Shared, index: usize, rx: Receiver<Job>) {
                 "slow_request",
                 "job serviced slower than the slow-request threshold",
                 vec![
-                    ("label".to_string(), key.label.clone()),
+                    ("label".to_string(), key.1.clone()),
                     ("ms".to_string(), (us / 1000).to_string()),
                 ],
             );
@@ -905,20 +851,18 @@ fn submit(shared: &Shared, conn_tx: &SyncSender<String>, req: AnalyzeRequest) {
     } else {
         &req.sel
     };
-    let (machine_key, token) = match machine_token(sel) {
-        Ok(t) => t,
+    let machine = match resolve_machine(shared, sel) {
+        Ok(m) => m,
         Err(e) => {
             shared.telemetry.bump(Ctr::Errors, 1);
             let _ = conn_tx.send(proto::render_error(req.id, &e));
             return;
         }
     };
-    let key = Key {
-        asm: req.asm.clone(),
-        label: req.label.clone(),
-        machine: machine_key,
-        flags: flag_bits(req.flags),
-    };
+    let key = (
+        AnalyzePredictors::new(req.flags).key(machine.fingerprint(), req.asm),
+        req.label,
+    );
     if let Some(report) = shared
         .responses
         .lock()
@@ -938,7 +882,7 @@ fn submit(shared: &Shared, conn_tx: &SyncSender<String>, req: AnalyzeRequest) {
         return;
     }
     shared.telemetry.bump(Ctr::ResponseMisses, 1);
-    let shard_index = key.shard(shared.shards.len());
+    let shard_index = key.0.shard(&key.1, shared.shards.len());
     let shard = &shared.shards[shard_index];
     // The inflight lock is held across the queue submission: a worker
     // cannot observe (and answer) the job before its entry exists, and
@@ -967,12 +911,8 @@ fn submit(shared: &Shared, conn_tx: &SyncSender<String>, req: AnalyzeRequest) {
             inflight.insert(
                 key,
                 Pending {
-                    payload: Payload {
-                        label: req.label,
-                        asm: req.asm,
-                        flags: req.flags,
-                        token,
-                    },
+                    machine,
+                    flags: req.flags,
                     ctx,
                     waiters: vec![waiter],
                 },

@@ -393,6 +393,58 @@ fn persistent_cache_survives_a_restart_and_reports_disk_metrics() {
 }
 
 #[test]
+fn serve_replays_records_a_validate_cache_dir_wrote() {
+    let dir = std::env::temp_dir().join(format!("incore-serve-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One golden-cove corpus block through the batch pipeline's default
+    // predictors (incore, mca, sim reference) fills the record store.
+    engine::Session::new()
+        .archs(&[uarch::Arch::GoldenCove])
+        .limit(1)
+        .threads(1)
+        .cache_dir(&dir)
+        .run()
+        .expect("session fills the cache dir");
+    let machine = uarch::registry::machine("golden-cove").unwrap();
+    let block = &kernels::volume::volume_blocks(machine.arch, 1)[0];
+    let asm = block.generate(&machine);
+
+    // The same text, machine and predictor set under another label is
+    // answered from that record: a disk hit, nothing written.
+    let server = ServerHandle::start(ServeOpts {
+        threads: 1,
+        queue: 4,
+        cache: 64,
+        cache_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServeOpts::default()
+    })
+    .expect("server starts");
+    let frame = format!(
+        "{{\"type\":\"analyze\",\"id\":1,\"label\":\"served.s\",\"asm\":{},\"model\":\"golden-cove\",\"mca\":true,\"sim\":true}}\n",
+        serde_json::to_string(&asm).unwrap(),
+    );
+    let resp = roundtrip(server.addr, &[frame], 1).remove(0);
+    assert_eq!(error_kind(&resp), None, "{resp}");
+    let disk = fetch_metrics(server.addr);
+    let disk = disk.get("disk").unwrap().as_object().unwrap();
+    assert_eq!(disk.get("hits").unwrap().as_u64(), Some(1));
+    assert_eq!(disk.get("writes").unwrap().as_u64(), Some(0));
+    let flags = AnalyzeFlags {
+        mca: true,
+        sim: true,
+        ..AnalyzeFlags::default()
+    };
+    let expected = cli::analyze_report_json(&machine, "served.s", &asm, flags).unwrap();
+    assert_eq!(
+        proto::extract_report(&resp),
+        Some(expected.trim_end()),
+        "a replayed validate record must serve the analyze --json bytes"
+    );
+    server.shutdown().expect("graceful drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn metrics_without_a_cache_dir_report_a_disabled_disk_block() {
     let server = ServerHandle::start(ServeOpts {
         threads: 1,

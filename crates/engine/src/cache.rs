@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::Error;
+use crate::key::Key;
 use serde::Serialize;
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, Error>>>;
@@ -96,11 +97,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.map.is_empty()
     }
 
-    /// `None` means unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
@@ -158,12 +154,35 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     }
 }
 
+/// A machine model with its [`Key::fingerprint`], computed on first use
+/// and kept: a server resolving the same model for every request
+/// serializes it once, and a run without a persistent cache never does.
+pub struct KeyedMachine {
+    pub machine: uarch::Machine,
+    fingerprint: OnceLock<u64>,
+}
+
+impl KeyedMachine {
+    pub fn new(machine: uarch::Machine) -> Self {
+        KeyedMachine {
+            machine,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| Key::fingerprint(&self.machine))
+    }
+}
+
 /// Thread-safe content-keyed caches for parsed kernels and imported
 /// machine models. [`CorpusCache::new`] is unbounded (batch runs);
 /// [`CorpusCache::bounded`] adds LRU eviction for long-running servers.
 pub struct CorpusCache {
     kernels: Mutex<Lru<(isa::Isa, String), Slot<isa::Kernel>>>,
-    machines: Mutex<Lru<String, Slot<uarch::Machine>>>,
+    machines: Mutex<Lru<String, Slot<KeyedMachine>>>,
     kernel_hits: AtomicU64,
     kernel_misses: AtomicU64,
     machine_hits: AtomicU64,
@@ -193,7 +212,7 @@ impl CorpusCache {
 
     fn with_maps(
         kernels: Lru<(isa::Isa, String), Slot<isa::Kernel>>,
-        machines: Lru<String, Slot<uarch::Machine>>,
+        machines: Lru<String, Slot<KeyedMachine>>,
     ) -> Self {
         CorpusCache {
             kernels: Mutex::new(kernels),
@@ -258,8 +277,8 @@ impl CorpusCache {
     }
 
     /// Import a JSON machine file, reusing a previous import of identical
-    /// text.
-    pub fn machine(&self, json: &str) -> Result<Arc<uarch::Machine>, Error> {
+    /// text (and its fingerprint, once computed).
+    pub fn machine(&self, json: &str) -> Result<Arc<KeyedMachine>, Error> {
         let slot = {
             let mut map = self.machines.lock().expect("machine cache poisoned");
             match map.get(&json.to_string()) {
@@ -269,7 +288,7 @@ impl CorpusCache {
                 }
                 None => {
                     self.machine_misses.fetch_add(1, Ordering::Relaxed);
-                    let slot: Slot<uarch::Machine> = Arc::new(OnceLock::new());
+                    let slot: Slot<KeyedMachine> = Arc::new(OnceLock::new());
                     let evicted = map.insert(json.to_string(), slot.clone());
                     if evicted > 0 {
                         self.machine_evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -283,7 +302,7 @@ impl CorpusCache {
         };
         slot.get_or_init(|| {
             uarch::Machine::from_json(json)
-                .map(Arc::new)
+                .map(|m| Arc::new(KeyedMachine::new(m)))
                 .map_err(Error::from)
         })
         .clone()

@@ -1,26 +1,28 @@
-//! Persistent content-addressed result cache under the in-memory
+//! Persistent content-addressed record cache under the in-memory
 //! [`CorpusCache`](crate::cache::CorpusCache).
 //!
-//! A [`DiskCache`] is a directory of small entry files, one per cached
-//! value, addressed by the FNV-64 hash of the caller's key material. The
-//! cache stores opaque UTF-8 payloads: the batch pipeline stores an
-//! evaluated record in the bit-exact codec below ([`encode_record`] /
-//! [`decode_record`], floats as `to_bits` hex so replay is byte-identical
-//! to recompute), and `incore-cli serve` stores response JSON verbatim.
+//! A [`DiskCache`] is a directory of small entry files, one per evaluated
+//! record, addressed by the FNV-64 digest of its [`Key`] plus the record
+//! format and report schema versions. Every entry holds one payload
+//! format: the *computed* part of a [`RecordReport`] in a bit-exact line
+//! codec (floats as `to_bits` hex), so replay is byte-identical to
+//! recompute. The descriptive labels are re-stamped by the reader, so the
+//! batch pipeline and `incore-cli serve` share entries.
 //!
 //! Robustness properties, each pinned by a test:
 //!
 //! * **Versioned**: every entry starts with a format header line. An
 //!   entry written by a different format version is *ignored, not read* —
-//!   the lookup reports it as stale and recomputes. Key material is
-//!   expected to carry the semantic versions (report schema, machine
-//!   fingerprint, predictor set), so a semantic change simply misses.
+//!   the lookup reports it as stale and recomputes. The address folds in
+//!   the record codec and report schema versions, and the key the
+//!   semantic inputs, so any other change simply misses.
 //! * **Crash-safe**: writes go to a temp file in the same directory and
 //!   are published with an atomic rename; a crashed writer leaves at most
 //!   a `*.tmp` turd that is never read as an entry.
 //! * **Corruption-tolerant**: a truncated or hand-damaged entry (length
-//!   mismatch, bad header, key echo mismatch from a hash collision) is a
-//!   miss that the subsequent recompute overwrites.
+//!   mismatch, bad header, key echo mismatch from a hash collision,
+//!   undecodable record) is a miss that the subsequent recompute
+//!   overwrites.
 //! * **Bounded (optionally)**: with a capacity, a put that grows the
 //!   cache past the bound evicts the oldest-modified entries.
 //!
@@ -28,21 +30,22 @@
 //! counted in [`DiskStats`] and exported through the `obs` counters
 //! `engine.diskcache.*` by the session (and the serve metrics snapshot).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::error::Error;
-use crate::report::{PredictorResult, RecordReport};
+use crate::key::{Key, FNV_OFFSET};
+use crate::report::{PredictorResult, RecordReport, SCHEMA_MINOR, SCHEMA_VERSION};
+use crate::session::BlockLabels;
 
 /// Format version of the entry *file layout*. Bumped when the header /
 /// framing below changes; older entries are then ignored as stale.
 const FORMAT: &str = "incore-diskcache v1";
 
-/// Version of the record codec ([`encode_record`]). Part of the key
-/// material the session hashes, so a codec change misses cleanly instead
-/// of misparsing.
-pub const RECORD_CODEC_VERSION: &str = "rec1";
+/// Version of the record codec ([`encode_record`]). Part of every entry
+/// address, so a codec change misses cleanly instead of misparsing.
+const RECORD_CODEC_VERSION: &str = "rec1";
 
 /// Counter snapshot of one [`DiskCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,46 +76,17 @@ impl DiskStats {
     }
 }
 
-/// FNV-1a 64 over one byte slice, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a 64 fingerprint of an arbitrary blob. Callers compress bulky
-/// key material with this before hashing the key proper — the session
-/// fingerprints each machine model's JSON so one key part pins the full
-/// model without embedding it. `serve` uses it for shard routing and
-/// machine-file cache keys.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// A second, independent starting state for the verification hash (the
 /// FNV offset basis with flipped halves), so an address collision is
 /// caught by the key echo inside the entry.
 const FNV_OFFSET_ALT: u64 = 0x8422_2325_cbf2_9ce4;
 
-/// Hash the key parts with a separator byte no part can contain
-/// un-escaped ambiguity over (parts are length-framed by the separator
-/// plus a per-part length fold).
-fn hash_key(seed: u64, parts: &[&str]) -> u64 {
-    let mut h = seed;
-    for p in parts {
-        h = fnv1a(h, &(p.len() as u64).to_le_bytes());
-        h = fnv1a(h, p.as_bytes());
-    }
-    h
-}
-
 /// A directory of content-addressed entries. Cheap to share behind a
 /// reference; all methods take `&self`.
 pub struct DiskCache {
     dir: PathBuf,
+    /// Record codec and report schema versions, folded into every address.
+    versions: String,
     capacity: Option<usize>,
     /// Live entry count (maintained from the initial scan + writes);
     /// guards the eviction scan so unbounded use never touches read_dir.
@@ -153,6 +127,7 @@ impl DiskCache {
         }
         Ok(DiskCache {
             dir,
+            versions: format!("{RECORD_CODEC_VERSION} s{SCHEMA_VERSION}.{SCHEMA_MINOR}"),
             capacity,
             entries: AtomicU64::new(entries),
             evict_lock: Mutex::new(()),
@@ -165,21 +140,21 @@ impl DiskCache {
         })
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    fn digest(&self, key: &Key, seed: u64) -> u64 {
+        key.digest(seed, &[&self.versions])
     }
 
-    fn entry_path(&self, parts: &[&str]) -> PathBuf {
+    fn entry_path(&self, key: &Key) -> PathBuf {
         self.dir
-            .join(format!("{:016x}.rec", hash_key(FNV_OFFSET, parts)))
+            .join(format!("{:016x}.rec", self.digest(key, FNV_OFFSET)))
     }
 
-    /// Look up the payload stored under `parts`. Any unusable entry —
-    /// missing, stale format, truncated, damaged, or an address collision
-    /// — is a miss.
-    pub fn get(&self, parts: &[&str]) -> Option<String> {
+    /// Replay the record stored under `key`, stamped with `labels` and
+    /// `chip`. Any unusable entry — missing, stale format, truncated,
+    /// damaged, or an address collision — is a miss.
+    pub fn get(&self, key: &Key, labels: BlockLabels<'_>, chip: &str) -> Option<RecordReport> {
         let _span = obs::enabled().then(|| obs::span("engine.diskcache.get"));
-        let path = self.entry_path(parts);
+        let path = self.entry_path(key);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => {
@@ -187,39 +162,39 @@ impl DiskCache {
                 return None;
             }
         };
-        let verify = hash_key(FNV_OFFSET_ALT, parts);
-        match parse_entry(&text, verify) {
-            Ok(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
-            Err(EntryDefect::Stale) => {
-                self.stale.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(EntryDefect::Corrupt) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let verify = self.digest(key, FNV_OFFSET_ALT);
+        let defect = match parse_entry(&text, verify) {
+            Ok(payload) => match decode_record(payload, labels, chip) {
+                Some(record) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(record);
+                }
+                None => &self.corrupt,
+            },
+            Err(EntryDefect::Stale) => &self.stale,
+            Err(EntryDefect::Corrupt) => &self.corrupt,
+        };
+        defect.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
-    /// Store `payload` under `parts`. Failures are swallowed (a cache
-    /// that cannot write degrades to a recompute, it does not fail the
-    /// run); successful writes are atomic via temp-file rename.
-    pub fn put(&self, parts: &[&str], payload: &str) {
+    /// Store the computed part of `record` under `key`. Failures are
+    /// swallowed (a cache that cannot write degrades to a recompute, it
+    /// does not fail the run); successful writes are atomic via temp-file
+    /// rename.
+    pub fn put(&self, key: &Key, record: &RecordReport) {
         let _span = obs::enabled().then(|| obs::span("engine.diskcache.put"));
-        let path = self.entry_path(parts);
-        let verify = hash_key(FNV_OFFSET_ALT, parts);
+        let path = self.entry_path(key);
+        let payload = encode_record(record);
+        let verify = self.digest(key, FNV_OFFSET_ALT);
         let body = format!(
             "{FORMAT}\nkey {verify:016x}\nlen {}\n{payload}",
             payload.len()
         );
         let tmp = self.dir.join(format!(
             ".{:016x}.{}.tmp",
-            hash_key(FNV_OFFSET, parts),
+            self.digest(key, FNV_OFFSET),
             std::process::id()
         ));
         if std::fs::write(&tmp, body).is_err() {
@@ -291,7 +266,7 @@ enum EntryDefect {
     Corrupt,
 }
 
-fn parse_entry(text: &str, verify: u64) -> Result<String, EntryDefect> {
+fn parse_entry(text: &str, verify: u64) -> Result<&str, EntryDefect> {
     let mut rest = text;
     let header = take_line(&mut rest).ok_or(EntryDefect::Corrupt)?;
     if header != FORMAT {
@@ -313,7 +288,7 @@ fn parse_entry(text: &str, verify: u64) -> Result<String, EntryDefect> {
     if rest.len() != len {
         return Err(EntryDefect::Corrupt);
     }
-    Ok(rest.to_string())
+    Ok(rest)
 }
 
 fn take_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
@@ -335,9 +310,9 @@ fn bits_f64(s: &str) -> Option<f64> {
 /// Serialize the *computed* part of a record — measurement, predictions,
 /// divergence codes — for a disk entry. The descriptive labels (kernel /
 /// compiler / opt / chip) are deliberately not stored: they are re-stamped
-/// from the work grid at replay, so two grid blocks that generate
-/// identical assembly on the same machine share one entry.
-pub fn encode_record(r: &RecordReport) -> String {
+/// by the reader, so two grid blocks that generate identical assembly on
+/// the same machine share one entry, and so does a served request.
+fn encode_record(r: &RecordReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
@@ -375,14 +350,8 @@ pub fn encode_record(r: &RecordReport) -> String {
 
 /// Inverse of [`encode_record`]: rebuild a full record by combining the
 /// stored computation with the caller's labels. `None` on any mismatch —
-/// the caller treats that as a miss and recomputes.
-pub fn decode_record(
-    payload: &str,
-    kernel: &str,
-    compiler: &str,
-    opt: &str,
-    chip: &str,
-) -> Option<RecordReport> {
+/// a miss that recomputes.
+fn decode_record(payload: &str, labels: BlockLabels<'_>, chip: &str) -> Option<RecordReport> {
     let mut lines = payload.lines();
     let measured = match lines.next()?.strip_prefix("measured ")? {
         "-" => None,
@@ -419,9 +388,9 @@ pub fn decode_record(
         return None;
     }
     Some(RecordReport {
-        kernel: kernel.to_string(),
-        compiler: compiler.to_string(),
-        opt: opt.to_string(),
+        kernel: labels.kernel.to_string(),
+        compiler: labels.compiler.to_string(),
+        opt: labels.opt.to_string(),
         chip: chip.to_string(),
         measured,
         predictions,
@@ -442,21 +411,61 @@ mod tests {
         dir
     }
 
+    fn key(text: &str) -> Key {
+        Key {
+            machine: 7,
+            predictors: "incore;-".into(),
+            text: text.into(),
+        }
+    }
+
+    const LABELS: BlockLabels<'static> = BlockLabels {
+        kernel: "K",
+        compiler: "gcc",
+        opt: "-O3",
+    };
+
+    fn record(cycles: f64) -> RecordReport {
+        RecordReport {
+            kernel: "K".into(),
+            compiler: "gcc".into(),
+            opt: "-O3".into(),
+            chip: "SPR".into(),
+            measured: Some(3.7500000000000004),
+            predictions: vec![PredictorResult {
+                predictor: "incore".into(),
+                cycles_per_iter: cycles,
+                rpe: Some(-0.1),
+                bottleneck: "port pressure".into(),
+                port_pressure: vec![0.5, f64::MIN_POSITIVE, 2.25],
+                uops_per_iter: 6.0,
+            }],
+            divergence: vec!["D001".into()],
+        }
+    }
+
+    fn json(r: Option<RecordReport>) -> Option<String> {
+        r.map(|r| serde_json::to_string(&r).unwrap())
+    }
+
     #[test]
     fn round_trips_payloads() {
         let dir = tmpdir("rt");
         let cache = DiskCache::open(&dir).unwrap();
-        let key = ["v1", "machine", "text"];
-        assert_eq!(cache.get(&key), None);
-        cache.put(&key, "hello\nworld");
-        assert_eq!(cache.get(&key).as_deref(), Some("hello\nworld"));
+        let k = key("text");
+        assert!(cache.get(&k, LABELS, "SPR").is_none());
+        cache.put(&k, &record(1.5));
+        assert_eq!(json(cache.get(&k, LABELS, "SPR")), json(Some(record(1.5))));
         // A different key misses independently.
-        assert_eq!(cache.get(&["v1", "machine", "other"]), None);
+        assert!(cache.get(&key("other"), LABELS, "SPR").is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.writes), (1, 2, 1));
         // Reopening sees the same entry (persistence).
         let reopened = DiskCache::open(&dir).unwrap();
-        assert_eq!(reopened.get(&key).as_deref(), Some("hello\nworld"));
+        assert_eq!(
+            json(reopened.get(&k, LABELS, "SPR")),
+            json(Some(record(1.5)))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -464,17 +473,17 @@ mod tests {
     fn stale_version_is_ignored_not_read() {
         let dir = tmpdir("stale");
         let cache = DiskCache::open(&dir).unwrap();
-        let key = ["k"];
-        cache.put(&key, "payload");
-        let path = cache.entry_path(&key);
+        let k = key("k");
+        cache.put(&k, &record(1.0));
+        let path = cache.entry_path(&k);
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, body.replace(FORMAT, "incore-diskcache v0")).unwrap();
-        assert_eq!(cache.get(&key), None);
+        assert!(cache.get(&k, LABELS, "SPR").is_none());
         assert_eq!(cache.stats().stale, 1);
         // The stale entry was not deleted — ignored, recompute overwrites.
         assert!(path.exists());
-        cache.put(&key, "fresh");
-        assert_eq!(cache.get(&key).as_deref(), Some("fresh"));
+        cache.put(&k, &record(2.0));
+        assert_eq!(json(cache.get(&k, LABELS, "SPR")), json(Some(record(2.0))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -482,12 +491,12 @@ mod tests {
     fn truncated_entry_is_a_miss() {
         let dir = tmpdir("trunc");
         let cache = DiskCache::open(&dir).unwrap();
-        let key = ["k"];
-        cache.put(&key, "a longer payload that will be cut short");
-        let path = cache.entry_path(&key);
+        let k = key("k");
+        cache.put(&k, &record(1.0));
+        let path = cache.entry_path(&k);
         let body = std::fs::read(&path).unwrap();
         std::fs::write(&path, &body[..body.len() - 10]).unwrap();
-        assert_eq!(cache.get(&key), None);
+        assert!(cache.get(&k, LABELS, "SPR").is_none());
         assert_eq!(cache.stats().corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -496,13 +505,13 @@ mod tests {
     fn bounded_cache_evicts_oldest() {
         let dir = tmpdir("evict");
         let cache = DiskCache::open_bounded(&dir, 2).unwrap();
-        cache.put(&["a"], "1");
-        cache.put(&["b"], "2");
-        cache.put(&["c"], "3");
+        for text in ["a", "b", "c"] {
+            cache.put(&key(text), &record(1.0));
+        }
         assert_eq!(cache.stats().evictions, 1);
-        let live = [["a"], ["b"], ["c"]]
+        let live = ["a", "b", "c"]
             .iter()
-            .filter(|k| cache.get(k.as_slice()).is_some())
+            .filter(|t| cache.get(&key(t), LABELS, "SPR").is_some())
             .count();
         assert_eq!(live, 2, "exactly one of the three entries was evicted");
         let _ = std::fs::remove_dir_all(&dir);
@@ -510,28 +519,9 @@ mod tests {
 
     #[test]
     fn record_codec_is_bit_exact() {
-        let rec = RecordReport {
-            kernel: "K".into(),
-            compiler: "gcc".into(),
-            opt: "-O3".into(),
-            chip: "SPR".into(),
-            measured: Some(3.7500000000000004),
-            predictions: vec![PredictorResult {
-                predictor: "incore".into(),
-                cycles_per_iter: 1.0 / 3.0,
-                rpe: Some(-0.1),
-                bottleneck: "port pressure".into(),
-                port_pressure: vec![0.5, f64::MIN_POSITIVE, 2.25],
-                uops_per_iter: 6.0,
-            }],
-            divergence: vec!["D001".into()],
-        };
-        let payload = encode_record(&rec);
-        let back = decode_record(&payload, "K", "gcc", "-O3", "SPR").unwrap();
-        assert_eq!(
-            serde_json::to_string(&rec).unwrap(),
-            serde_json::to_string(&back).unwrap()
-        );
+        let rec = record(1.0 / 3.0);
+        let back = decode_record(&encode_record(&rec), LABELS, "SPR");
+        assert_eq!(json(back), json(Some(rec.clone())));
         // No-measurement, no-pressure records round-trip too.
         let bare = RecordReport {
             measured: None,
@@ -543,24 +533,14 @@ mod tests {
             }],
             ..rec.clone()
         };
-        let back = decode_record(&encode_record(&bare), "K", "gcc", "-O3", "SPR").unwrap();
-        assert_eq!(
-            serde_json::to_string(&bare).unwrap(),
-            serde_json::to_string(&back).unwrap()
-        );
+        let back = decode_record(&encode_record(&bare), LABELS, "SPR");
+        assert_eq!(json(back), json(Some(bare)));
     }
 
     #[test]
     fn damaged_payload_decodes_to_none() {
-        assert!(decode_record("measured zzz\n", "k", "c", "o", "ch").is_none());
-        assert!(decode_record("", "k", "c", "o", "ch").is_none());
-        assert!(decode_record(
-            "measured -\ndivergence -\npredictions 2\n",
-            "k",
-            "c",
-            "o",
-            "ch"
-        )
-        .is_none());
+        assert!(decode_record("measured zzz\n", LABELS, "ch").is_none());
+        assert!(decode_record("", LABELS, "ch").is_none());
+        assert!(decode_record("measured -\ndivergence -\npredictions 2\n", LABELS, "ch").is_none());
     }
 }

@@ -27,13 +27,15 @@
 pub mod cache;
 pub mod diskcache;
 pub mod error;
+pub mod key;
 pub mod lint;
 pub mod report;
 pub mod session;
 
-pub use cache::{CacheStats, CorpusCache, EvictionStats, Lru};
+pub use cache::{CacheStats, CorpusCache, EvictionStats, KeyedMachine, Lru};
 pub use diskcache::{DiskCache, DiskStats};
 pub use error::{Error, ErrorKind};
+pub use key::Key;
 pub use lint::{lint_corpus, lint_corpus_machines};
 pub use report::{
     histogram, render_histogram, rpe, summarize, BatchReport, ObsPredictorTimings, ObsSummary,

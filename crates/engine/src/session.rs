@@ -25,11 +25,12 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use crate::cache::CorpusCache;
-use crate::diskcache::{self, DiskCache, DiskStats};
+use crate::diskcache::{DiskCache, DiskStats};
 use crate::error::Error;
+use crate::key::Key;
 use crate::report::{
     rpe, BatchReport, ObsPredictorTimings, ObsSummary, PredictorResult, RecordReport, RunTimings,
-    SCHEMA_MINOR, SCHEMA_VERSION,
+    SCHEMA_MINOR,
 };
 use kernels::volume::VolumeBlock;
 use uarch::{Machine, Predictor};
@@ -230,7 +231,7 @@ impl Session {
     }
 
     /// Run the default simulator reference with this configuration
-    /// (iteration counts, early-exit, engine selection). Replaces any
+    /// (iteration counts, quirks, engine selection). Replaces any
     /// previously set reference predictor.
     pub fn sim_config(mut self, config: exec::SimConfig) -> Self {
         self.reference = Some(Box::new(exec::CoreSimulator { config }));
@@ -260,11 +261,11 @@ impl Session {
     }
 
     /// Persist evaluated records in a content-addressed cache under
-    /// `dir`, replaying them on later runs with identical inputs (same
-    /// report schema, machine model, predictor set, reference, and block
-    /// text). A replayed run's report is byte-identical to the computed
-    /// one — floats are stored bit-exactly — except for the observational
-    /// `timings` block.
+    /// `dir`, replaying them on later runs with an identical [`Key`]
+    /// (machine model, predictor set with its configuration, and block
+    /// text) and report schema. A replayed run's report is byte-identical
+    /// to the computed one — floats are stored bit-exactly — except for
+    /// the observational `timings` block.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -294,7 +295,7 @@ impl Session {
             let m = cache
                 .machine(json)
                 .map_err(|e| e.with_context(label.clone()))?;
-            machines.push((*m).clone());
+            machines.push(m.machine.clone());
         }
         Ok(machines)
     }
@@ -317,47 +318,31 @@ impl Session {
         grid
     }
 
-    fn open_disk(&self) -> Result<Option<DiskCache>, Error> {
-        self.cache_dir.as_ref().map(DiskCache::open).transpose()
-    }
-
-    /// Fixed key-part context for persistent-cache lookups: everything a
-    /// result depends on besides the block text. Machine models enter as
-    /// fingerprints of their canonical JSON, so editing a model (or
-    /// upgrading the report schema or predictor set) misses cleanly into
-    /// a recompute instead of replaying stale results.
-    fn key_ctx(&self, machines: &[Machine]) -> KeyCtx {
-        KeyCtx {
-            schema: format!("s{SCHEMA_VERSION}.{SCHEMA_MINOR}"),
-            fingerprints: machines
-                .iter()
-                .map(|m| format!("{:016x}", diskcache::fingerprint(m.to_json().as_bytes())))
-                .collect(),
-            predictors: self
-                .predictors
-                .iter()
-                .map(|p| p.name())
-                .collect::<Vec<_>>()
-                .join(","),
-            reference: self
-                .reference
-                .as_ref()
-                .map(|r| r.name().to_string())
-                .unwrap_or_else(|| "-".to_string()),
-        }
-    }
-
     /// Run the full grid and collect the report.
     pub fn run(&self) -> Result<BatchReport, Error> {
         let wall_start = Instant::now();
         let cache = CorpusCache::new();
         let machines = self.resolve_machines(&cache)?;
-        let disk = self.open_disk()?;
-        let keys = self.key_ctx(&machines);
         let grid = self.grid_blocks(&machines);
-
         let analytical: Vec<&dyn Predictor> = self.predictors.iter().map(|b| b.as_ref()).collect();
         let reference = self.reference.as_deref();
+        // The persistent tier with each machine's key for the run (text
+        // left empty). Only an open cache dir fingerprints the machines.
+        let disk = match &self.cache_dir {
+            Some(dir) => {
+                let predictors = Key::predictor_set(&analytical, reference);
+                let keys: Vec<Key> = machines
+                    .iter()
+                    .map(|m| Key {
+                        machine: Key::fingerprint(m),
+                        predictors: predictors.clone(),
+                        text: String::new(),
+                    })
+                    .collect();
+                Some((DiskCache::open(dir)?, keys))
+            }
+            None => None,
+        };
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.threads)
             .build()
@@ -367,11 +352,9 @@ impl Session {
                 .map(|(mi, block)| {
                     process_block(
                         &machines[mi],
-                        &keys.fingerprints[mi],
                         &block,
                         &cache,
-                        disk.as_ref(),
-                        &keys,
+                        disk.as_ref().map(|(d, keys)| (d, &keys[mi])),
                         &analytical,
                         reference,
                     )
@@ -391,7 +374,7 @@ impl Session {
             cache.stats(),
         );
         report.timings = fold_timings(wall_start, block_timings.iter());
-        let disk_stats = disk.as_ref().map(|d| d.stats());
+        let disk_stats = disk.as_ref().map(|(d, _)| d.stats());
         if self.profile {
             report.obs = Some(obs_summary(
                 &self.predictors,
@@ -421,22 +404,6 @@ impl Session {
     }
 }
 
-/// Fixed persistent-cache key parts for one session configuration.
-struct KeyCtx {
-    schema: String,
-    /// Per-machine model fingerprint, indexed like the machine list.
-    fingerprints: Vec<String>,
-    predictors: String,
-    reference: String,
-}
-
-fn isa_tag(isa: isa::Isa) -> &'static str {
-    match isa {
-        isa::Isa::X86 => "x86",
-        isa::Isa::AArch64 => "aarch64",
-    }
-}
-
 /// Evaluate one grid block: generate its text, decode it through the
 /// shared kernel memo, replay the record from the persistent cache when
 /// possible, and otherwise evaluate and store it.
@@ -446,14 +413,11 @@ fn isa_tag(isa: isa::Isa) -> &'static str {
 /// writes always book under `cache_ns`. A replayed block therefore
 /// reports zero reference/predictor time — cache hits never double-count
 /// as compute.
-#[allow(clippy::too_many_arguments)]
 fn process_block(
     machine: &Machine,
-    fingerprint: &str,
     block: &VolumeBlock,
     cache: &CorpusCache,
-    disk: Option<&DiskCache>,
-    keys: &KeyCtx,
+    disk: Option<(&DiskCache, &Key)>,
     analytical: &[&dyn Predictor],
     reference: Option<&dyn Predictor>,
 ) -> Result<(RecordReport, BlockTimings), Error> {
@@ -477,21 +441,18 @@ fn process_block(
         compiler: block.variant.compiler.name(),
         opt: block.variant.opt.name(),
     };
-    let chip = machine.chip.to_string();
-    let key = [
-        diskcache::RECORD_CODEC_VERSION,
-        keys.schema.as_str(),
-        fingerprint,
-        keys.predictors.as_str(),
-        keys.reference.as_str(),
-        isa_tag(machine.isa),
-        asm.as_str(),
-    ];
-    if let Some(disk) = disk {
+    let disk = disk.map(|(d, key)| {
+        (
+            d,
+            Key {
+                text: asm,
+                ..key.clone()
+            },
+        )
+    });
+    if let Some((disk, key)) = &disk {
         let probe_start = Instant::now();
-        let replayed = disk.get(&key).and_then(|payload| {
-            diskcache::decode_record(&payload, &kernel_label, labels.compiler, labels.opt, &chip)
-        });
+        let replayed = disk.get(key, labels, machine.chip);
         timings.cache_ns += probe_start.elapsed().as_nanos() as u64;
         if let Some(record) = replayed {
             return Ok((record, timings));
@@ -501,9 +462,9 @@ fn process_block(
     timings.reference_ns += computed.reference_ns;
     timings.predictors_ns += computed.predictors_ns;
     timings.per_predictor_ns = computed.per_predictor_ns;
-    if let Some(disk) = disk {
+    if let Some((disk, key)) = &disk {
         let put_start = Instant::now();
-        disk.put(&key, &diskcache::encode_record(&record));
+        disk.put(key, &record);
         timings.cache_ns += put_start.elapsed().as_nanos() as u64;
     }
     Ok((record, timings))

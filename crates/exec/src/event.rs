@@ -182,7 +182,7 @@ pub(crate) fn simulate(
     // Heaviest dependence-edge weight: once an issue time is this far in
     // the past it reads as "available" on every remaining edge.
     let wmax = graph.edges.iter().map(|e| e.weight).fold(0.0f64, f64::max);
-    let extrapolatable = cfg.early_exit && total_iters > 0;
+    let extrapolatable = total_iters > 0;
     // Closed-form extrapolation *through the drain* is exact only when no
     // µ-op holds a port across cycles: a blocking µ-op from a younger
     // instruction can delay an older one, so the schedule after the last

@@ -77,10 +77,6 @@ pub struct SimConfig {
     /// model deliberately ignores (see `apply_quirks`). These reproduce
     /// the paper's known model-vs-measurement outliers in Fig. 3.
     pub quirks: bool,
-    /// Let the event-driven engine stop as soon as the per-iteration issue
-    /// schedule provably repeats, extrapolating the remaining iterations
-    /// exactly. Disable to force every iteration to be simulated.
-    pub early_exit: bool,
     /// Run the retained naive tick-by-tick engine instead of the
     /// event-driven one. Slower; exists as the equivalence oracle for
     /// tests and the benchmark harness.
@@ -93,7 +89,6 @@ impl Default for SimConfig {
             iterations: 200,
             warmup: 50,
             quirks: true,
-            early_exit: true,
             reference: false,
         }
     }
@@ -250,6 +245,13 @@ pub struct CoreSimulator {
 impl uarch::Predictor for CoreSimulator {
     fn name(&self) -> &'static str {
         "sim"
+    }
+
+    /// The iteration counts and quirks change the measurement; the engine
+    /// choice does not (both engines agree bit-for-bit).
+    fn identity(&self) -> std::borrow::Cow<'static, str> {
+        let c = self.config;
+        format!("sim i{} w{} q{}", c.iterations, c.warmup, c.quirks as u8).into()
     }
 
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> uarch::Prediction {
@@ -541,25 +543,6 @@ mod tests {
             "no iterations were saved"
         );
         assert_engines_agree(&m, asm, Isa::X86, cfg);
-    }
-
-    #[test]
-    fn no_early_exit_simulates_every_iteration() {
-        let m = Machine::zen4();
-        let asm = ".L1:\n vaddpd %ymm1, %ymm2, %ymm3\n subq $1, %rax\n jne .L1\n";
-        let k = parse_kernel(asm, Isa::X86).unwrap();
-        let cfg = SimConfig {
-            early_exit: false,
-            ..SimConfig::default()
-        };
-        let full = simulate(&m, &k, cfg);
-        assert_eq!(full.early_exit_iter, None);
-        let fast = simulate(&m, &k, SimConfig::default());
-        assert_eq!(
-            full.cycles_per_iter.to_bits(),
-            fast.cycles_per_iter.to_bits()
-        );
-        assert_eq!(full.total_cycles, fast.total_cycles);
     }
 
     #[test]

@@ -52,25 +52,6 @@ pub use throughput::PortAssignment;
 use isa::Kernel;
 use uarch::{InstrDesc, Machine};
 
-/// Analyzer options.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Port-assignment strategy for the throughput analysis.
-    pub assignment: PortAssignment,
-    /// Include the front-end dispatch bound (`total µ-ops / dispatch
-    /// width`) in the block prediction.
-    pub frontend: bool,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            assignment: PortAssignment::Optimal,
-            frontend: true,
-        }
-    }
-}
-
 /// Result of the in-core analysis of one kernel on one machine.
 #[derive(Debug, Clone)]
 pub struct Analysis {
@@ -87,7 +68,7 @@ pub struct Analysis {
     pub cp_nodes: Vec<usize>,
     /// Loop-carried dependency bound in cycles/iteration.
     pub lcd: f64,
-    /// The block prediction: `max(tp, lcd[, frontend])`.
+    /// The block prediction: `max(tp, lcd, frontend)`.
     pub prediction: f64,
     /// Per-instruction port-pressure rows (cycles on each port).
     pub per_inst: Vec<InstPressure>,
@@ -146,7 +127,8 @@ pub struct InstPressure {
 /// entry point batch pipelines and divergence lints dispatch through.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InCoreModel {
-    pub options: Options,
+    /// Port-assignment strategy for the throughput analysis.
+    pub assignment: PortAssignment,
 }
 
 impl InCoreModel {
@@ -157,17 +139,14 @@ impl InCoreModel {
     /// OSACA's equal-split port heuristic instead of the optimal split.
     pub fn balanced() -> Self {
         InCoreModel {
-            options: Options {
-                assignment: PortAssignment::Balanced,
-                frontend: true,
-            },
+            assignment: PortAssignment::Balanced,
         }
     }
 }
 
 impl uarch::Predictor for InCoreModel {
     fn name(&self) -> &'static str {
-        match self.options.assignment {
+        match self.assignment {
             PortAssignment::Optimal => "incore",
             PortAssignment::Balanced => "incore-balanced",
         }
@@ -183,7 +162,7 @@ impl uarch::Predictor for InCoreModel {
         kernel: &Kernel,
         descs: &[InstrDesc],
     ) -> uarch::Prediction {
-        let a = analyze_described(machine, kernel, descs, self.options);
+        let a = analyze_described(machine, kernel, descs, self.assignment);
         let bottleneck = match a.bottleneck() {
             Bottleneck::PortPressure => uarch::Bottleneck::PortPressure,
             Bottleneck::Dependency => uarch::Bottleneck::Dependency,
@@ -198,14 +177,19 @@ impl uarch::Predictor for InCoreModel {
     }
 }
 
-/// Analyze a kernel with default options.
+/// Analyze a kernel with the optimal port assignment.
 pub fn analyze(machine: &Machine, kernel: &Kernel) -> Analysis {
-    analyze_with(machine, kernel, Options::default())
+    analyze_with(machine, kernel, PortAssignment::Optimal)
 }
 
-/// Analyze a kernel with explicit options.
-pub fn analyze_with(machine: &Machine, kernel: &Kernel, opts: Options) -> Analysis {
-    analyze_described(machine, kernel, &machine.describe_kernel(kernel), opts)
+/// Analyze a kernel with an explicit port-assignment strategy.
+pub fn analyze_with(machine: &Machine, kernel: &Kernel, assignment: PortAssignment) -> Analysis {
+    analyze_described(
+        machine,
+        kernel,
+        &machine.describe_kernel(kernel),
+        assignment,
+    )
 }
 
 /// [`analyze_with`] from the kernel's descriptors, already looked up by
@@ -214,9 +198,9 @@ fn analyze_described(
     machine: &Machine,
     kernel: &Kernel,
     descs: &[InstrDesc],
-    opts: Options,
+    assignment: PortAssignment,
 ) -> Analysis {
-    let (port_loads, per_inst) = throughput::port_pressure(machine, kernel, descs, opts.assignment);
+    let (port_loads, per_inst) = throughput::port_pressure(machine, kernel, descs, assignment);
     let tp_bound = port_loads.iter().copied().fold(0.0f64, f64::max);
 
     let total_uops: usize = descs.iter().map(|d| d.uop_count()).sum();
@@ -226,10 +210,7 @@ fn analyze_described(
     let (cp_latency, cp_nodes) = critpath::critical_path_with_nodes(&graph);
     let lcd = lcd::loop_carried(&graph);
 
-    let mut prediction = tp_bound.max(lcd);
-    if opts.frontend {
-        prediction = prediction.max(frontend_bound);
-    }
+    let prediction = tp_bound.max(lcd).max(frontend_bound);
 
     Analysis {
         port_loads,

@@ -75,6 +75,13 @@ pub trait Predictor: Send + Sync {
     /// `"sim"`, ...).
     fn name(&self) -> &'static str;
 
+    /// This predictor's part of a cache key: its name plus every setting
+    /// that can change a result (equal identities, equal predictions).
+    /// The default suits predictors whose name pins their configuration.
+    fn identity(&self) -> std::borrow::Cow<'static, str> {
+        self.name().into()
+    }
+
     /// Predict the block throughput of `kernel` on `machine`.
     fn predict(&self, machine: &Machine, kernel: &Kernel) -> Prediction;
 

@@ -88,3 +88,38 @@ fn damaged_cache_entries_fall_back_to_recompute() {
     assert_eq!(normalized(&healed), normalized(&cold));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cache_dir_keys_on_the_simulator_config() {
+    let dir = temp_dir("simcfg");
+    let sim = |config: Option<exec::SimConfig>| {
+        let s = engine::Session::new()
+            .archs(&[ARCH])
+            .volume(BLOCKS)
+            .threads(2);
+        match config {
+            Some(c) => s.sim_config(c),
+            None => s,
+        }
+    };
+    let short = exec::SimConfig {
+        iterations: 20,
+        warmup: 5,
+        ..exec::SimConfig::default()
+    };
+    sim(Some(short))
+        .cache_dir(&dir)
+        .run()
+        .expect("short run fills the cache");
+    let warm = sim(None)
+        .cache_dir(&dir)
+        .run()
+        .expect("default run on the same dir");
+    let fresh = sim(None).run().expect("default run without a cache");
+    assert_eq!(
+        normalized(&warm),
+        normalized(&fresh),
+        "records of another simulator config must not replay"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -103,23 +103,6 @@ fn default_config_subset() {
     }
 }
 
-/// Early exit disabled must also match — it removes the extrapolation
-/// but keeps the event-jumping clock.
-#[test]
-fn no_early_exit_still_agrees() {
-    let m = uarch::Machine::zen4();
-    let cfg = exec::SimConfig {
-        iterations: 60,
-        warmup: 15,
-        early_exit: false,
-        ..Default::default()
-    };
-    for v in kernels::variants_for(m.arch).iter().take(8) {
-        let k = kernels::generate_kernel(v, &m);
-        assert_engines_agree(&m, &k, cfg, &v.label());
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
