@@ -161,13 +161,16 @@ fn field<'a>(obj: &'a serde::Map<String, serde::Value>, key: &str) -> Option<&'a
     obj.get(key)
 }
 
-fn str_field(obj: &serde::Map<String, serde::Value>, key: &str) -> Result<Option<String>, Error> {
-    match field(obj, key) {
+/// Move a string field out of the request object, so a request holds
+/// one copy of its kernel text.
+fn take_str(
+    obj: &mut serde::Map<String, serde::Value>,
+    key: &str,
+) -> Result<Option<String>, Error> {
+    match obj.remove(key) {
         None => Ok(None),
-        Some(v) => match v.as_str() {
-            Some(s) => Ok(Some(s.to_string())),
-            None => Err(Error::protocol(format!("`{key}` must be a string"))),
-        },
+        Some(serde::Value::String(s)) => Ok(Some(s)),
+        Some(_) => Err(Error::protocol(format!("`{key}` must be a string"))),
     }
 }
 
@@ -196,13 +199,13 @@ fn id_field(obj: &serde::Map<String, serde::Value>) -> Result<u64, Error> {
 pub fn parse_request(line: &str) -> Result<Request, Error> {
     let v: serde::Value =
         serde_json::from_str(line).map_err(|e| Error::protocol(format!("invalid JSON: {e}")))?;
-    let obj = v
-        .as_object()
-        .ok_or_else(|| Error::protocol("request must be a JSON object"))?;
-    let ty = str_field(obj, "type")?.ok_or_else(|| {
+    let serde::Value::Object(mut obj) = v else {
+        return Err(Error::protocol("request must be a JSON object"));
+    };
+    let ty = take_str(&mut obj, "type")?.ok_or_else(|| {
         Error::protocol("request needs a `type` (analyze, metrics, ping, shutdown)")
     })?;
-    let id = id_field(obj)?;
+    let id = id_field(&obj)?;
     let allowed: &[&str] = match ty.as_str() {
         "analyze" => &[
             "type",
@@ -235,7 +238,7 @@ pub fn parse_request(line: &str) -> Result<Request, Error> {
     match ty.as_str() {
         "metrics" => Ok(Request::Metrics { id }),
         "events" => {
-            let since = match field(obj, "since") {
+            let since = match field(&obj, "since") {
                 None => 0,
                 Some(v) => v
                     .as_u64()
@@ -246,25 +249,25 @@ pub fn parse_request(line: &str) -> Result<Request, Error> {
         "ping" => Ok(Request::Ping { id }),
         "shutdown" => Ok(Request::Shutdown { id }),
         _ => {
-            let asm = str_field(obj, "asm")?
+            let asm = take_str(&mut obj, "asm")?
                 .ok_or_else(|| Error::protocol("analyze request needs an `asm` string"))?;
-            let label = str_field(obj, "label")?.unwrap_or_else(|| "kernel".to_string());
+            let label = take_str(&mut obj, "label")?.unwrap_or_else(|| "kernel".to_string());
             let mut sel = MachineSel::default();
             // Same resolution path as --arch/--model: family aliases and
             // registry ids, one shared error message.
             for key in ["arch", "model"] {
-                if let Some(name) = str_field(obj, key)? {
+                if let Some(name) = take_str(&mut obj, key)? {
                     let resolved = crate::resolve_model_id(&name)?;
                     sel.refs.push(MachineRef::Model(resolved.to_string()));
                 }
             }
-            if let Some(path) = str_field(obj, "machine_file")? {
+            if let Some(path) = take_str(&mut obj, "machine_file")? {
                 sel.refs.push(MachineRef::File(path));
             }
             let flags = AnalyzeFlags {
-                balanced: bool_field(obj, "balanced")?,
-                mca: bool_field(obj, "mca")?,
-                sim: bool_field(obj, "sim")?,
+                balanced: bool_field(&obj, "balanced")?,
+                mca: bool_field(&obj, "mca")?,
+                sim: bool_field(&obj, "sim")?,
                 ..AnalyzeFlags::default()
             };
             Ok(Request::Analyze(AnalyzeRequest {
@@ -273,7 +276,7 @@ pub fn parse_request(line: &str) -> Result<Request, Error> {
                 asm,
                 sel,
                 flags,
-                trace: bool_field(obj, "trace")?,
+                trace: bool_field(&obj, "trace")?,
             }))
         }
     }

@@ -926,3 +926,41 @@ fn closed_connections_release_their_file_descriptors() {
     let summary = server.shutdown().expect("drain still answers");
     assert_eq!(summary.requests, CONNECTIONS as u64 + 1, "{summary:?}");
 }
+
+#[test]
+fn a_frame_at_the_size_limit_parses_in_linear_time() {
+    let server = ServerHandle::start(ServeOpts {
+        threads: 1,
+        queue: 4,
+        ..ServeOpts::default()
+    })
+    .expect("server starts");
+    // A ping padded with one unknown string field up to the frame limit:
+    // the whole frame must be read as JSON before the field is rejected.
+    let head = "{\"type\":\"ping\",\"id\":1,\"pad\":\"";
+    let tail = "\"}";
+    let pad = "x".repeat(proto::DEFAULT_MAX_REQUEST_BYTES - head.len() - tail.len());
+    let frame = format!("{head}{pad}{tail}\n");
+    let budget = std::time::Duration::from_secs(5);
+    let started = std::time::Instant::now();
+    let mut big = TcpStream::connect(server.addr).expect("connect");
+    big.set_read_timeout(Some(budget)).unwrap();
+    big.write_all(frame.as_bytes()).expect("write");
+    // Another connection is served meanwhile.
+    let pong = roundtrip(
+        server.addr,
+        &["{\"type\":\"ping\",\"id\":2}\n".to_string()],
+        1,
+    );
+    assert_eq!(error_kind(&pong[0]), None, "{pong:?}");
+    let mut line = String::new();
+    BufReader::new(big)
+        .read_line(&mut line)
+        .expect("the padded frame is answered within the time budget");
+    let elapsed = started.elapsed();
+    assert!(elapsed < budget, "answered after {elapsed:?}");
+    assert_eq!(error_kind(&line).as_deref(), Some("protocol"), "{line}");
+    assert!(line.contains("unknown field `pad`"), "{line}");
+    let summary = server.shutdown().expect("graceful drain");
+    assert_eq!(summary.errors, 1, "{summary:?}");
+}
