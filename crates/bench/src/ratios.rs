@@ -32,9 +32,10 @@ use serde::Serialize;
 /// exec: event engine vs reference engine (recorded 6.9×, per-machine
 /// minimum 4.8×).
 pub const EXEC_FLOOR: f64 = 3.0;
-/// memhier: streaming sweep vs per-access reference (recorded 76×,
-/// per-machine minimum 44×).
-pub const MEMHIER_FLOOR: f64 = 20.0;
+/// memhier: streaming sweep vs per-access reference. The cold fold put
+/// it at 1425–1837× over nine runs on a 2-vCPU host (74× before), so
+/// the floor keeps a margin of almost 3×.
+pub const MEMHIER_FLOOR: f64 = 500.0;
 /// pipeline: cold cache-dir session vs the reference-MCA baseline.
 pub const COLD_VS_BASELINE_FLOOR: f64 = 2.0;
 /// pipeline: warm cache-dir rerun vs the cold run.

@@ -964,3 +964,68 @@ fn a_frame_at_the_size_limit_parses_in_linear_time() {
     let summary = server.shutdown().expect("graceful drain");
     assert_eq!(summary.errors, 1, "{summary:?}");
 }
+
+#[test]
+fn a_bracket_bomb_is_a_protocol_error_not_a_stack_overflow() {
+    let server = ServerHandle::start(ServeOpts {
+        threads: 1,
+        queue: 4,
+        ..ServeOpts::default()
+    })
+    .expect("server starts");
+    // 40 KB of nesting: one reader frame per bracket would overflow a
+    // connection thread's stack and abort the whole server.
+    let frame = format!("{}{}\n", "[".repeat(20_000), "]".repeat(20_000));
+    let answer = roundtrip(server.addr, &[frame], 1);
+    assert_eq!(
+        error_kind(&answer[0]).as_deref(),
+        Some("protocol"),
+        "{answer:?}"
+    );
+    assert!(answer[0].contains("nesting deeper than"), "{answer:?}");
+    // The server is still up: a second connection's ping is answered.
+    let pong = roundtrip(
+        server.addr,
+        &["{\"type\":\"ping\",\"id\":2}\n".to_string()],
+        1,
+    );
+    assert_eq!(error_kind(&pong[0]), None, "{pong:?}");
+    assert_eq!(response_id(&pong[0]), 2);
+    let summary = server.shutdown().expect("graceful drain");
+    assert_eq!(summary.errors, 1, "{summary:?}");
+}
+
+#[test]
+fn a_forty_thousand_key_object_is_answered_in_linear_time() {
+    let server = ServerHandle::start(ServeOpts {
+        threads: 1,
+        queue: 4,
+        ..ServeOpts::default()
+    })
+    .expect("server starts");
+    // A ping with 40,000 unknown keys (about 430 KB, under the frame
+    // limit): the whole object is read before the first key is rejected.
+    let keys: String = (0..40_000).map(|i| format!(",\"k{i}\":{i}")).collect();
+    let frame = format!("{{\"type\":\"ping\",\"id\":1{keys}}}\n");
+    assert!(frame.len() < proto::DEFAULT_MAX_REQUEST_BYTES);
+    let budget = std::time::Duration::from_secs(5);
+    let started = std::time::Instant::now();
+    let mut big = TcpStream::connect(server.addr).expect("connect");
+    big.set_read_timeout(Some(budget)).unwrap();
+    big.write_all(frame.as_bytes()).expect("write");
+    let pong = roundtrip(
+        server.addr,
+        &["{\"type\":\"ping\",\"id\":2}\n".to_string()],
+        1,
+    );
+    assert_eq!(error_kind(&pong[0]), None, "{pong:?}");
+    let mut line = String::new();
+    BufReader::new(big)
+        .read_line(&mut line)
+        .expect("the object is answered within the time budget");
+    let elapsed = started.elapsed();
+    assert!(elapsed < budget, "answered after {elapsed:?}");
+    assert_eq!(error_kind(&line).as_deref(), Some("protocol"), "{line}");
+    let summary = server.shutdown().expect("graceful drain");
+    assert_eq!(summary.errors, 1, "{summary:?}");
+}

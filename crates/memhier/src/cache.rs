@@ -42,6 +42,16 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.loads + self.stores
     }
+
+    /// Add `k × d` to every counter.
+    pub(crate) fn add_scaled(&mut self, d: CacheStats, k: u64) {
+        self.loads += d.loads * k;
+        self.stores += d.stores * k;
+        self.load_misses += d.load_misses * k;
+        self.store_misses += d.store_misses * k;
+        self.claims += d.claims * k;
+        self.writebacks += d.writebacks * k;
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +62,14 @@ pub(crate) struct Line {
     /// LRU stamp; larger = more recent.
     pub(crate) lru: u64,
 }
+
+/// An invalid way, as every way starts.
+const COLD: Line = Line {
+    tag: 0,
+    valid: false,
+    dirty: false,
+    lru: 0,
+};
 
 /// The geometry a cache construction actually realizes: the number of
 /// sets is rounded *down* to a power of two, which can silently shrink
@@ -99,11 +117,15 @@ pub fn realized_geometry(size_bytes: u64, assoc: usize, line_bytes: u64) -> Geom
 /// One set-associative cache level.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    /// Every set's ways, set after set: set `i` is
+    /// `lines[i * assoc..(i + 1) * assoc]`.
+    lines: Vec<Line>,
+    assoc: usize,
     line_bytes: u64,
     set_shift: u32,
     set_mask: u64,
-    clock: u64,
+    /// Events seen (accesses and insertions); the next LRU stamp.
+    pub(crate) clock: u64,
     /// Whether full-line store misses claim the line without a fill
     /// (write-allocate evasion by cache-line claim).
     pub line_claim: bool,
@@ -121,18 +143,8 @@ impl Cache {
         );
         let num_sets = realized_geometry(size_bytes, assoc, line_bytes).sets;
         Cache {
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    assoc
-                ];
-                num_sets as usize
-            ],
+            lines: vec![COLD; num_sets as usize * assoc],
+            assoc,
             line_bytes,
             set_shift: line_bytes.trailing_zeros(),
             set_mask: num_sets - 1,
@@ -150,14 +162,17 @@ impl Cache {
         let line_addr = addr >> self.set_shift;
         (
             (line_addr & self.set_mask) as usize,
-            line_addr >> self.sets.len().trailing_zeros(),
+            line_addr >> self.set_bits(),
         )
+    }
+
+    fn set_bits(&self) -> u32 {
+        self.set_mask.trailing_ones()
     }
 
     /// Reconstruct the byte address of a line from its set and tag.
     fn addr_of(&self, set_idx: usize, tag: u64) -> u64 {
-        let set_bits = self.sets.len().trailing_zeros();
-        ((tag << set_bits) | set_idx as u64) << self.set_shift
+        ((tag << self.set_bits()) | set_idx as u64) << self.set_shift
     }
 
     /// Perform an access; returns what was requested downstream.
@@ -165,7 +180,7 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let (set_idx, tag) = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc];
         let is_store = kind != Access::Load;
         if is_store {
             self.stats.stores += 1;
@@ -227,7 +242,7 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let (set_idx, tag) = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc];
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = clock;
             return (true, None);
@@ -257,7 +272,7 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let (set_idx, tag) = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.lines[set_idx * self.assoc..(set_idx + 1) * self.assoc];
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.dirty = true;
             line.lru = clock;
@@ -285,14 +300,12 @@ impl Cache {
     /// were written back.
     pub fn flush(&mut self) -> u64 {
         let mut wb = 0;
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid && line.dirty {
-                    wb += 1;
-                }
-                line.valid = false;
-                line.dirty = false;
+        for line in &mut self.lines {
+            if line.valid && line.dirty {
+                wb += 1;
             }
+            line.valid = false;
+            line.dirty = false;
         }
         self.stats.writebacks += wb;
         wb
@@ -300,17 +313,17 @@ impl Cache {
 
     /// Number of ways.
     pub fn assoc(&self) -> usize {
-        self.sets[0].len()
+        self.assoc
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lines.len() / self.assoc
     }
 
     /// Number of sets (u64, for address arithmetic).
     pub fn sets(&self) -> u64 {
-        self.sets.len() as u64
+        self.num_sets() as u64
     }
 
     /// Realized geometry of this cache.
@@ -333,28 +346,74 @@ impl Cache {
     }
 
     /// Return the cache to its just-constructed state (cold lines, zeroed
-    /// counters) without reallocating the set arrays.
+    /// counters) without reallocating the line array.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0,
+        self.lines.fill(COLD);
+        self.clock = 0;
+        self.stats = CacheStats::default();
+    }
+
+    /// No line is valid: the state right after [`Self::new`],
+    /// [`Self::reset`] or [`Self::flush`].
+    pub(crate) fn is_cold(&self) -> bool {
+        self.lines.iter().all(|l| !l.valid)
+    }
+
+    /// A cold cache with `sets / g` sets and this one's ways, line size
+    /// and claim setting: the shape of one of the `g` congruent
+    /// sub-caches that [`crate::stream`]'s fold simulates.
+    pub(crate) fn folded(&self, g: u64) -> Cache {
+        let assoc = self.assoc();
+        let bytes = self.sets() / g * assoc as u64 * self.line_bytes;
+        let mut c = Cache::new(bytes, assoc, self.line_bytes);
+        c.line_claim = self.line_claim;
+        c
+    }
+
+    /// Install the end state of the `g` congruent sub-caches of this
+    /// (cold) cache after a stream of consecutive lines from
+    /// `first_line`, and add their counters. `short` and `long` are one
+    /// [`Self::folded`] cache after `a` and after `a + 1` of its own
+    /// lines `0, 1, …`; the first `split` residue classes in stream order
+    /// received `a + 1` lines, the rest `a`.
+    ///
+    /// Sub-cache line `k` of the class of rank `r` is line
+    /// `first_line + r + g·k` here, so sub-set `s'` of that class is set
+    /// `(first_line + r + g·s') mod sets` and every tag there moves by
+    /// `⌊(first_line + r + g·s') / sets⌋`. Ways keep their positions and
+    /// LRU stamps keep their order within each set; the clock advances by
+    /// the sub-caches' events, so it counts every event of the stream and
+    /// stays past every stamp.
+    pub(crate) fn unfold(&mut self, first_line: u64, split: u64, short: &Cache, long: &Cache) {
+        let g = self.sets() / short.sets();
+        let (assoc, set_bits) = (self.assoc, self.set_bits());
+        for j in 0..self.sets() {
+            let src = if j % g < split { long } else { short };
+            let line = first_line + j;
+            let tag_shift = line >> set_bits;
+            let dst = (line & self.set_mask) as usize * assoc;
+            let from = (j / g) as usize * assoc;
+            let dst = &mut self.lines[dst..dst + assoc];
+            for (d, l) in dst.iter_mut().zip(&src.lines[from..from + assoc]) {
+                *d = if l.valid {
+                    Line {
+                        tag: l.tag + tag_shift,
+                        ..*l
+                    }
+                } else {
+                    *l
                 };
             }
         }
-        self.clock = 0;
-        self.stats = CacheStats::default();
+        self.stats.add_scaled(short.stats, g - split);
+        self.stats.add_scaled(long.stats, split);
+        self.clock += (g - split) * short.clock + split * long.clock;
     }
 
     /// Copy the full line state into `buf` (reused across snapshots).
     pub(crate) fn snapshot_into(&self, buf: &mut Vec<Line>) {
         buf.clear();
-        for set in &self.sets {
-            buf.extend_from_slice(set);
-        }
+        buf.extend_from_slice(&self.lines);
     }
 
     /// Does the current state equal `snap` advanced by `shift_lines` line
@@ -375,14 +434,12 @@ impl Cache {
         rank_cur: &mut Vec<usize>,
         rank_old: &mut Vec<usize>,
     ) -> bool {
-        let assoc = self.assoc();
-        if snap.len() != self.sets.len() * assoc {
+        if snap.len() != self.lines.len() {
             return false;
         }
         debug_assert!(shift_lines.is_multiple_of(self.sets()));
         let tag_shift = shift_lines / self.sets();
-        for (si, set) in self.sets.iter().enumerate() {
-            let old = &snap[si * assoc..(si + 1) * assoc];
+        for (set, old) in self.lines.chunks(self.assoc).zip(snap.chunks(self.assoc)) {
             lru_rank(set, rank_cur);
             lru_rank(old, rank_old);
             for (&wc, &wo) in rank_cur.iter().zip(rank_old.iter()) {
@@ -399,10 +456,11 @@ impl Cache {
     }
 
     /// Present a whole constant-stride stream to this level alone,
-    /// taking the exact steady-state fast path when the stride is a
-    /// multiple of the line size (see [`crate::stream`]). `stats` end up
-    /// bit-identical to calling [`Self::access`] per element; downstream
-    /// requests are discarded either way.
+    /// taking the exact fast paths of [`crate::stream`] (the cold fold and
+    /// the steady-state extrapolation) when the stride is a multiple of
+    /// the line size. `stats` end up bit-identical to calling
+    /// [`Self::access`] per element; downstream requests are discarded
+    /// either way.
     pub fn access_stream(
         &mut self,
         p: crate::stream::StreamPattern,
@@ -415,12 +473,11 @@ impl Cache {
     /// Diagnostic twin of `matches_shifted`: first mismatch, described.
     #[cfg(test)]
     pub(crate) fn debug_mismatch(&self, snap: &[Line], shift_lines: u64) -> Option<String> {
-        let assoc = self.assoc();
         let tag_shift = shift_lines / self.sets();
         let mut ra = Vec::new();
         let mut rb = Vec::new();
-        for (si, set) in self.sets.iter().enumerate() {
-            let old = &snap[si * assoc..(si + 1) * assoc];
+        let sets = self.lines.chunks(self.assoc).zip(snap.chunks(self.assoc));
+        for (si, (set, old)) in sets.enumerate() {
             lru_rank(set, &mut ra);
             lru_rank(old, &mut rb);
             for (k, (&wc, &wo)) in ra.iter().zip(rb.iter()).enumerate() {
@@ -455,11 +512,9 @@ impl Cache {
     pub(crate) fn shift_tags(&mut self, shift_lines: u64) {
         debug_assert!(shift_lines.is_multiple_of(self.sets()));
         let tag_shift = shift_lines / self.sets();
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid {
-                    line.tag += tag_shift;
-                }
+        for line in &mut self.lines {
+            if line.valid {
+                line.tag += tag_shift;
             }
         }
     }

@@ -15,6 +15,55 @@ impl Traffic {
     pub fn total(&self) -> u64 {
         self.read_bytes + self.write_bytes
     }
+
+    /// Add the ledger of a non-temporal store stream of `lines` lines of
+    /// `line_bytes`: a write per line plus a read for every
+    /// ⌈1/residual⌉-th line, counting line 0, in closed form.
+    /// Bit-identical to [`Self::add_nt_store_line`] for `0..lines`; that
+    /// oracle loop is retained behind `cfg.reference`.
+    pub fn add_nt_store_stream(
+        &mut self,
+        lines: u64,
+        line_bytes: u64,
+        residual_wa: f64,
+        cfg: StreamConfig,
+    ) {
+        if cfg.reference {
+            for i in 0..lines {
+                self.add_nt_store_line(i, line_bytes, residual_wa);
+            }
+            return;
+        }
+        self.write_bytes += lines * line_bytes;
+        if residual_wa > 0.0 && lines > 0 {
+            let period = (1.0 / residual_wa).round() as u64;
+            if period > 0 {
+                self.read_bytes += lines.div_ceil(period) * line_bytes;
+            }
+        }
+    }
+
+    /// Add the ledger of one non-temporal store: it bypasses the caches
+    /// through the write-combining buffers; `residual_wa` ∈ \[0,1\] is the
+    /// fraction of lines whose WC buffer was evicted early and which
+    /// therefore still perform a read-modify-write.
+    ///
+    /// `index` identifies the line within the stream so that the residual
+    /// is applied deterministically (every ⌈1/residual⌉-th line).
+    pub fn add_nt_store_line(&mut self, index: u64, line_bytes: u64, residual_wa: f64) {
+        self.write_bytes += line_bytes;
+        if residual_wa > 0.0 {
+            let period = (1.0 / residual_wa).round() as u64;
+            if period > 0 && index.is_multiple_of(period) {
+                self.read_bytes += line_bytes;
+            }
+        }
+    }
+}
+
+/// Line size of a machine's hierarchy: its first cache level's, or 64 B.
+pub(crate) fn machine_line_bytes(machine: &Machine) -> u64 {
+    machine.caches.first().map_or(64, |c| c.line_bytes as u64)
 }
 
 /// A core-private view of the cache hierarchy: L1 and L2 private, plus a
@@ -41,14 +90,9 @@ impl Hierarchy {
             };
             levels.push(Cache::new(size, c.assoc as usize, c.line_bytes as u64));
         }
-        let line = machine
-            .caches
-            .first()
-            .map(|c| c.line_bytes as u64)
-            .unwrap_or(64);
         Hierarchy {
             levels,
-            line_bytes: line,
+            line_bytes: machine_line_bytes(machine),
             mem: Traffic::default(),
         }
     }
@@ -62,6 +106,17 @@ impl Hierarchy {
                 Cache::new(l3, 16, line),
             ],
             line_bytes: line,
+            mem: Traffic::default(),
+        }
+    }
+
+    /// A cold hierarchy whose levels have `sets / g` sets each and this
+    /// one's ways, line sizes and claim settings (see
+    /// [`crate::stream`]'s fold).
+    pub(crate) fn folded(&self, g: u64) -> Hierarchy {
+        Hierarchy {
+            levels: self.levels.iter().map(|l| l.folded(g)).collect(),
+            line_bytes: self.line_bytes,
             mem: Traffic::default(),
         }
     }
@@ -82,7 +137,7 @@ impl Hierarchy {
     }
 
     /// Return the hierarchy to its just-constructed state without
-    /// reallocating the per-set arrays — the scratch/arena half of the
+    /// reallocating the line arrays — the scratch/arena half of the
     /// streaming fast path: repeated `single_core_base` calls reuse one
     /// hierarchy per (machine, sharers) instead of rebuilding ~10⁵ lines.
     pub fn reset(&mut self) {
@@ -161,11 +216,12 @@ impl Hierarchy {
         }
     }
 
-    /// Present a whole constant-stride stream, taking the exact
-    /// steady-state fast path when the pattern allows it (see
-    /// [`crate::stream`]). Counters and final cache state are
-    /// bit-identical to issuing each access through [`Self::access`];
-    /// pass `StreamConfig { reference: true }` to force that oracle loop.
+    /// Present a whole constant-stride stream, taking the exact fast
+    /// paths of [`crate::stream`] (the cold fold and the steady-state
+    /// extrapolation) when the pattern allows them. Counters and final
+    /// cache state are bit-identical to issuing each access through
+    /// [`Self::access`]; pass `StreamConfig { reference: true }` to force
+    /// that oracle loop.
     pub fn access_stream(&mut self, p: StreamPattern, cfg: StreamConfig) -> StreamOutcome {
         let mut scratch = MemScratch::default();
         self.access_stream_with_scratch(p, cfg, &mut scratch)
@@ -182,42 +238,11 @@ impl Hierarchy {
         stream::run_stream(self, p, cfg, scratch)
     }
 
-    /// Non-temporal store stream of `lines` lines: closed form for the
-    /// ledger the per-line loop produces (a write per line plus a read
-    /// for every ⌈1/residual⌉-th line, counting line 0). Bit-identical
-    /// to calling [`Self::nt_store_line`] for `0..lines`; the oracle
-    /// loop is retained behind `cfg.reference`.
+    /// Non-temporal store stream of `lines` lines into this hierarchy's
+    /// memory ledger ([`Traffic::add_nt_store_stream`]).
     pub fn nt_store_stream(&mut self, lines: u64, residual_wa: f64, cfg: StreamConfig) {
-        if cfg.reference {
-            for i in 0..lines {
-                self.nt_store_line(i, residual_wa);
-            }
-            return;
-        }
-        self.mem.write_bytes += lines * self.line_bytes;
-        if residual_wa > 0.0 && lines > 0 {
-            let period = (1.0 / residual_wa).round() as u64;
-            if period > 0 {
-                self.mem.read_bytes += lines.div_ceil(period) * self.line_bytes;
-            }
-        }
-    }
-
-    /// Non-temporal store: bypasses the hierarchy entirely through the
-    /// write-combining buffers; `residual_wa` ∈ \[0,1\] is the fraction of
-    /// lines whose WC buffer was evicted early and which therefore still
-    /// perform a read-modify-write.
-    ///
-    /// `index` identifies the line within the stream so that the residual
-    /// is applied deterministically (every ⌈1/residual⌉-th line).
-    pub fn nt_store_line(&mut self, index: u64, residual_wa: f64) {
-        self.mem.write_bytes += self.line_bytes;
-        if residual_wa > 0.0 {
-            let period = (1.0 / residual_wa).round() as u64;
-            if period > 0 && index.is_multiple_of(period) {
-                self.mem.read_bytes += self.line_bytes;
-            }
-        }
+        self.mem
+            .add_nt_store_stream(lines, self.line_bytes, residual_wa, cfg);
     }
 
     /// Flush all levels, charging final writebacks to memory.
@@ -265,21 +290,21 @@ mod tests {
 
     #[test]
     fn nt_stores_bypass() {
-        let mut h = Hierarchy::synthetic(4 << 10, 16 << 10, 64 << 10, 64);
+        let mut mem = Traffic::default();
         for i in 0..1000 {
-            h.nt_store_line(i, 0.0);
+            mem.add_nt_store_line(i, 64, 0.0);
         }
-        assert_eq!(h.mem.read_bytes, 0);
-        assert_eq!(h.mem.write_bytes, 1000 * 64);
+        assert_eq!(mem.read_bytes, 0);
+        assert_eq!(mem.write_bytes, 1000 * 64);
     }
 
     #[test]
     fn nt_residual_charges_reads() {
-        let mut h = Hierarchy::synthetic(4 << 10, 16 << 10, 64 << 10, 64);
+        let mut mem = Traffic::default();
         for i in 0..1000 {
-            h.nt_store_line(i, 0.10);
+            mem.add_nt_store_line(i, 64, 0.10);
         }
-        let ratio = h.mem.total() as f64 / (1000.0 * 64.0);
+        let ratio = mem.total() as f64 / (1000.0 * 64.0);
         assert!((ratio - 1.1).abs() < 0.01, "ratio = {ratio}");
     }
 

@@ -14,10 +14,11 @@
 //!   stores* through write-combining buffers (x86 and Arm);
 //! * [`storebench`] — the store-only benchmark of Fig. 4: memory traffic /
 //!   stored volume vs. active cores, standard and NT variants;
-//! * [`stream`] — the exact streaming fast path: once a constant-stride
-//!   stream reaches its steady per-set cycle, stats advance in closed
-//!   form, bit-identical to the per-access path (kept as the oracle
-//!   behind [`stream::StreamConfig::reference`]);
+//! * [`stream`] — the exact streaming fast path: a cold sequential stream
+//!   is folded onto one congruent sub-hierarchy, and once a
+//!   constant-stride stream reaches its steady per-set cycle, stats
+//!   advance in closed form — bit-identical to the per-access path (kept
+//!   as the oracle behind [`stream::StreamConfig::reference`]);
 //! * [`bandwidth`] — the multi-core bandwidth-saturation model used for
 //!   the measured-bandwidth rows of Table I.
 

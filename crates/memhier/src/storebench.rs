@@ -16,16 +16,21 @@
 //!    domain before the next, as the paper's benchmarks do).
 //!
 //! Two fast paths keep full sweeps cheap without changing a single bit of
-//! output: the hierarchy stream runs through [`crate::stream`]'s exact
-//! steady-state extrapolation (forceable back to the per-access oracle
-//! via [`StreamConfig::reference`]), and — since a *standard* store
-//! stream's base traffic does not depend on the active-core count — the
-//! heavy base simulation is hoisted out of the per-core-count loop in
-//! [`sweep_points`]. [`fig4_full`] fans the remaining (machine × kind)
+//! output. The standard store stream starts from a cold hierarchy and
+//! runs through [`crate::stream`], which folds it onto one of `g`
+//! congruent sub-hierarchies (`g` = the smallest set count of any level)
+//! and finds that sub-hierarchy's steady state, so it simulates a few
+//! thousand of its accesses instead of hundreds of thousands; since its
+//! base traffic does not depend on the active-core count, it is also
+//! hoisted out of the per-core-count loop in [`sweep_points`]. A
+//! non-temporal stream bypasses the caches, so its ledger is computed in
+//! closed form straight into a [`Traffic`] with no hierarchy at all.
+//! [`StreamConfig::reference`] forces both back to their per-access
+//! oracle loops. [`fig4_full`] fans the remaining (machine × kind)
 //! tasks out on the rayon pool, order-preservingly, so results are
 //! byte-identical at every thread count.
 
-use crate::hierarchy::Hierarchy;
+use crate::hierarchy::{machine_line_bytes, Hierarchy, Traffic};
 use crate::policy::{StoreKind, WaConfig, WaMode};
 use crate::stream::{MemScratch, StreamConfig, StreamOutcome, StreamPattern};
 use rayon::prelude::*;
@@ -103,9 +108,7 @@ fn single_core_base(
             kind.label()
         ))
     });
-    let h = pooled(&mut scratch.pool, machine, machine.cores);
-    h.set_line_claim(cfg.mode == WaMode::AutoClaim);
-    let line = h.line_bytes();
+    let line = machine_line_bytes(machine);
     // Stream 4× the per-core L3 slice (or at least 8 MiB) to be safely
     // memory-resident, mirroring the paper's 40 GB working set.
     let slice_bytes: u64 = machine
@@ -121,24 +124,29 @@ fn single_core_base(
         .sum();
     let total = (4 * slice_bytes).max(8 << 20);
     let lines = total / line;
-    match kind {
+    let mem = match kind {
         StoreKind::Standard => {
+            let h = pooled(&mut scratch.pool, machine, machine.cores);
+            h.set_line_claim(cfg.mode == WaMode::AutoClaim);
             scratch.last_outcome = h.access_stream_with_scratch(
                 StreamPattern::store_lines(line, lines),
                 scfg,
                 &mut scratch.stream,
             );
             h.flush();
+            h.mem
         }
+        // NT stores bypass the caches: the ledger needs no hierarchy.
         StoreKind::NonTemporal => {
-            let residual = cfg.nt_residual_at(cores);
-            h.nt_store_stream(lines, residual, scfg);
             scratch.last_outcome = StreamOutcome::default();
+            let mut mem = Traffic::default();
+            mem.add_nt_store_stream(lines, line, cfg.nt_residual_at(cores), scfg);
+            mem
         }
-    }
+    };
     BasePerLine {
-        reads: h.mem.read_bytes as f64 / (lines * line) as f64,
-        writes: h.mem.write_bytes as f64 / (lines * line) as f64,
+        reads: mem.read_bytes as f64 / (lines * line) as f64,
+        writes: mem.write_bytes as f64 / (lines * line) as f64,
     }
 }
 

@@ -6,9 +6,10 @@
 //! [`memhier::Traffic`] to `StreamConfig::reference()` (the per-access
 //! oracle). This is the contract that keeps `repro fig4`, `repro table1`,
 //! and `incore-cli storebench` byte-identical across the fast-path
-//! rewrite.
+//! rewrite. Cold sequential streams are folded onto one congruent
+//! sub-hierarchy; the fold gets its own randomized hierarchies below.
 
-use memhier::{Access, Hierarchy, StreamConfig, StreamPattern, Traffic};
+use memhier::{Access, Cache, Hierarchy, StreamConfig, StreamPattern, Traffic};
 use proptest::prelude::*;
 
 /// Every observable of a hierarchy after a stream: per-level counters plus
@@ -201,4 +202,118 @@ proptest! {
         prop_assert!(fast_outcome.extrapolated > 0,
             "no extrapolation at stride={} count={}", stride_lines, count);
     }
+}
+
+fn access_kind(sel: u32) -> Access {
+    match sel {
+        0 => Access::Load,
+        1 => Access::StoreFullLine,
+        _ => Access::StorePartial,
+    }
+}
+
+/// A hierarchy of 64-byte-line levels with the given `(sets, ways)`.
+fn hierarchy_of(shape: &[(u64, usize)], claim: bool) -> Hierarchy {
+    let mut h = Hierarchy::synthetic(4096, 32768, 262144, 64);
+    h.levels = shape
+        .iter()
+        .map(|&(sets, ways)| Cache::new(sets * ways as u64 * 64, ways, 64))
+        .collect();
+    h.set_line_claim(claim);
+    h
+}
+
+/// Two streams and a flush through `h` with `cfg`; the observables after
+/// each step, plus the first stream's outcome.
+fn two_streams(
+    h: &mut Hierarchy,
+    first: StreamPattern,
+    second: StreamPattern,
+    cfg: StreamConfig,
+) -> (
+    memhier::StreamOutcome,
+    Vec<(Vec<memhier::CacheStats>, Traffic)>,
+) {
+    let outcome = h.access_stream(first, cfg);
+    let mut seen = vec![observables(h)];
+    h.access_stream(second, cfg);
+    seen.push(observables(h));
+    h.flush();
+    seen.push(observables(h));
+    (outcome, seen)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cold fold on random hierarchies: set counts in any order
+    /// (a lower level may have fewer sets than the one above), 1–16 ways,
+    /// claim on and off, every access kind, an arbitrary start, and
+    /// lengths below `g`, below capacity and past it with a ragged tail.
+    /// A second stream on the same hierarchy then exercises the tags,
+    /// dirty bits, LRU order and clocks the fold wrote back, and a flush
+    /// counts the dirty lines left.
+    #[test]
+    fn cold_streams_fold_exactly(
+        shape in proptest::collection::vec((0u32..7, 1usize..17), 1..4),
+        claim_sel in 0u32..2,
+        kinds in (0u32..3, 0u32..3),
+        start in 0u64..1 << 16,
+        len_sel in 0u32..3,
+        len_frac in 0u64..1000,
+        second_back in 0u64..4096,
+        second_stride_lines in 1u64..4,
+        second_len in 0u64..2000,
+    ) {
+        let claim = claim_sel == 1;
+        let shape: Vec<(u64, usize)> = shape.iter().map(|&(b, w)| (1u64 << b, w)).collect();
+        let g = shape.iter().map(|&(sets, _)| sets).min().unwrap();
+        let cap: u64 = shape.iter().map(|&(sets, w)| sets * w as u64).sum();
+        let count = match len_sel {
+            0 => len_frac % g.max(1),
+            1 => len_frac % cap,
+            _ => 3 * cap + len_frac,
+        };
+        let first = StreamPattern { start, stride: 64, count, kind: access_kind(kinds.0) };
+        // The second stream starts `second_back` lines before the first
+        // one's end, so it revisits the lines the fold wrote back.
+        let second = StreamPattern {
+            start: (start + count * 64).saturating_sub(second_back * 64),
+            stride: 64 * second_stride_lines,
+            count: second_len,
+            kind: access_kind(kinds.1),
+        };
+        let mut h = hierarchy_of(&shape, claim);
+        let (outcome, fast) = two_streams(&mut h, first, second, StreamConfig::default());
+        let mut h = hierarchy_of(&shape, claim);
+        let (_, reference) = two_streams(&mut h, first, second, StreamConfig::reference());
+        prop_assert_eq!(&fast[0], &reference[0], "after the stream: {:?} {:?}", shape, first);
+        prop_assert_eq!(&fast[1], &reference[1], "after a second stream: {:?} {:?}", shape, second);
+        prop_assert_eq!(&fast[2], &reference[2], "after flush: {:?}", shape);
+        prop_assert_eq!(outcome.folded, g > 1, "g={}", g);
+        if outcome.folded {
+            // All but the sub-hierarchy's own accesses are applied unseen.
+            prop_assert!(outcome.extrapolated + count.div_ceil(g) >= count);
+        }
+    }
+}
+
+#[test]
+fn a_warm_hierarchy_is_not_folded_and_still_agrees() {
+    let run = |cfg: StreamConfig| {
+        let mut h = Hierarchy::synthetic(4096, 32768, 262144, 64);
+        // One line anywhere makes the hierarchy warm.
+        h.access(1 << 30, Access::Load);
+        let lines = stream_lines(&h);
+        let outcome = h.access_stream(StreamPattern::store_lines(64, lines), cfg);
+        let streamed = observables(&h);
+        h.flush();
+        (outcome, streamed, observables(&h))
+    };
+    let (outcome, streamed, flushed) = run(StreamConfig::default());
+    assert!(outcome.fast_path && !outcome.folded, "{outcome:?}");
+    assert!(outcome.extrapolated > 0, "the detector still extrapolates");
+    let (_, ref_streamed, ref_flushed) = run(StreamConfig::reference());
+    assert_eq!(streamed, ref_streamed);
+    assert_eq!(flushed, ref_flushed);
 }
